@@ -1,7 +1,5 @@
 #include "solap/cube/partial_merge.h"
 
-#include <vector>
-
 namespace solap {
 
 size_t MergeCuboidPartials(SCuboid* dst, const SCuboid& src) {
@@ -15,29 +13,6 @@ size_t MergeCuboidPartials(SCuboid* dst, const SCuboid& src) {
     ++folded;
   }
   return folded;
-}
-
-SidList GatherShardLists(std::span<const SidList* const> shard_lists,
-                         std::span<const Sid> bases,
-                         ContainerOpCounts* counts) {
-  // Rebase each shard's group-local sids into the global sid space. The
-  // blocks are disjoint by construction, so the subsequent union is
-  // lossless; it still runs through UnionManySidLists so the gather uses
-  // (and counts ops for) the same container machinery as P-ROLL-UP.
-  std::vector<SidList> rebased;
-  rebased.reserve(shard_lists.size());
-  for (size_t s = 0; s < shard_lists.size(); ++s) {
-    SidList list;
-    if (shard_lists[s] != nullptr) {
-      shard_lists[s]->ForEach([&](Sid sid) { list.Append(bases[s] + sid); });
-    }
-    list.Normalize();
-    rebased.push_back(std::move(list));
-  }
-  std::vector<const SidList*> ptrs;
-  ptrs.reserve(rebased.size());
-  for (const SidList& l : rebased) ptrs.push_back(&l);
-  return UnionManySidLists(std::span<const SidList* const>(ptrs), counts);
 }
 
 }  // namespace solap

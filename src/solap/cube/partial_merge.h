@@ -5,11 +5,8 @@
 #ifndef SOLAP_CUBE_PARTIAL_MERGE_H_
 #define SOLAP_CUBE_PARTIAL_MERGE_H_
 
-#include <span>
-
 #include "solap/common/types.h"
 #include "solap/cube/cuboid.h"
-#include "solap/index/container.h"
 
 namespace solap {
 
@@ -28,15 +25,6 @@ namespace solap {
 ///
 /// Returns the number of cells folded.
 size_t MergeCuboidPartials(SCuboid* dst, const SCuboid& src);
-
-/// \brief Merges shard-local inverted lists of one pattern key into the
-/// global list: shard s's group-local sids rebase by `bases[s]` (the start
-/// of its contiguous sid block in the unpartitioned group), then the
-/// rebased lists union through the k-way container machinery that backs
-/// P-ROLL-UP (UnionManySidLists), counting container ops into `counts`.
-SidList GatherShardLists(std::span<const SidList* const> shard_lists,
-                         std::span<const Sid> bases,
-                         ContainerOpCounts* counts);
 
 }  // namespace solap
 

@@ -449,11 +449,10 @@ GroupIndexCache& SOlapEngine::CacheFor(const SequenceGroupSet& set,
       std::to_string(reinterpret_cast<uintptr_t>(&set)) + ":" +
       std::to_string(group_idx);
   // unordered_map references are stable across inserts, so the returned
-  // cache outlives the lock; the cache itself synchronizes internally.
+  // cache outlives the lock; the cache itself synchronizes internally. The
+  // governor is fixed when the entry is created: a lookup writes nothing.
   std::lock_guard<std::mutex> lock(index_caches_mu_);
-  GroupIndexCache& cache = index_caches_[key];
-  cache.set_governor(&governor_);
-  return cache;
+  return index_caches_.try_emplace(key, &governor_).first->second;
 }
 
 const GroupIndexCache* SOlapEngine::FindIndexCache(

@@ -86,10 +86,12 @@ Status SOlapEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
 Result<bool> SOlapEngine::TryExtendFormation(
     const SequenceSpec& spec, const std::shared_ptr<SequenceGroupSet>& set,
     RowId from_row, FormationDeltas* deltas, ScanStats* stats) {
-  // Re-bind the formation clauses exactly as SequenceQueryEngine::Build
+  // Bind the formation clauses exactly as SequenceQueryEngine::Build
   // does, so extension and rebuild classify rows identically.
+  ExprPtr where;
   if (spec.where != nullptr) {
-    SOLAP_RETURN_NOT_OK(spec.where->Bind(mutable_table_->schema(), nullptr));
+    SOLAP_ASSIGN_OR_RETURN(where,
+                           spec.where->Bind(mutable_table_->schema(), nullptr));
   }
   std::vector<DimensionBinding> cluster_bindings;
   for (const LevelRef& r : spec.cluster_by) {
@@ -132,8 +134,7 @@ Result<bool> SOlapEngine::TryExtendFormation(
   CellKey ckey(cluster_bindings.size());
   for (RowId row = from_row; row < n_rows; ++row) {
     if (!retention_.Keep(*mutable_table_, row)) continue;
-    if (spec.where != nullptr &&
-        !spec.where->EvalRow(*mutable_table_, row).AsBool()) {
+    if (where != nullptr && !where->EvalRow(*mutable_table_, row).AsBool()) {
       continue;
     }
     for (size_t i = 0; i < cluster_bindings.size(); ++i) {

@@ -8,7 +8,6 @@
 #include "solap/cube/partial_merge.h"
 #include "solap/engine/remote_shard.h"
 #include "solap/engine/shard_partition.h"
-#include "solap/index/build_index.h"
 
 namespace solap {
 
@@ -39,13 +38,13 @@ ShardedEngine::ShardedEngine(std::shared_ptr<SequenceGroupSet> raw_groups,
 }
 
 ShardedEngine::ShardedEngine(SOlapEngine* borrowed)
-    : hierarchies_(borrowed->hierarchies()), borrowed_(borrowed) {}
+    : hierarchies_(borrowed->hierarchies()), shards_{borrowed} {}
 
 ShardedEngine::~ShardedEngine() = default;
 
 void ShardedEngine::BuildShards() {
   size_t n = std::max<size_t>(1, options_.shards);
-  if (n > 1 && table_ != nullptr) {
+  if (table_ != nullptr) {
     // Resolve the shard-by column; an unusable one degrades to one shard
     // rather than failing construction (the engine stays correct, just
     // monolithic).
@@ -58,18 +57,16 @@ void ShardedEngine::BuildShards() {
   EngineOptions shard_opts = options_;
   shard_opts.shards = 1;
   if (n == 1) {
+    // Mutable overload: the single executor gets the writable table so its
+    // streaming write path works through plain delegation.
     if (mutable_table_ != nullptr) {
-      // Mutable overload: the single executor gets the writable table so
-      // its streaming write path works through plain delegation.
-      shards_.push_back(std::make_unique<SOlapEngine>(mutable_table_,
-                                                      hierarchies_,
-                                                      shard_opts));
+      AddShard(std::make_unique<SOlapEngine>(mutable_table_, hierarchies_,
+                                             shard_opts));
+    } else if (table_ != nullptr) {
+      AddShard(std::make_unique<SOlapEngine>(table_, hierarchies_, shard_opts));
     } else {
-      shards_.push_back(
-          table_ != nullptr
-              ? std::make_unique<SOlapEngine>(table_, hierarchies_, shard_opts)
-              : std::make_unique<SOlapEngine>(raw_groups_, hierarchies_,
-                                              shard_opts));
+      AddShard(std::make_unique<SOlapEngine>(raw_groups_, hierarchies_,
+                                             shard_opts));
     }
     return;
   }
@@ -89,9 +86,8 @@ void ShardedEngine::BuildShards() {
       return ShardOfCode(table_->CodeAt(r, shard_col_), n);
     });
     for (size_t s = 0; s < n; ++s) {
-      shards_.push_back(std::make_unique<SOlapEngine>(shard_tables_[s].get(),
-                                                      hierarchies_,
-                                                      shard_opts));
+      AddShard(std::make_unique<SOlapEngine>(shard_tables_[s].get(),
+                                             hierarchies_, shard_opts));
     }
     return;
   }
@@ -99,31 +95,32 @@ void ShardedEngine::BuildShards() {
   // Raw groups: split every group into n contiguous sid blocks. Every group
   // exists in every shard (possibly empty) and in source order, so group
   // ordinals line up across shards and with the source set.
-  shard_groups_.clear();
+  std::vector<std::shared_ptr<SequenceGroupSet>> shard_groups;
   for (size_t s = 0; s < n; ++s) {
     auto set = std::make_shared<SequenceGroupSet>(raw_groups_->raw_attr());
     set->raw_dictionary() = raw_groups_->raw_dictionary();
-    shard_groups_.push_back(std::move(set));
+    shard_groups.push_back(std::move(set));
   }
-  const auto& groups = raw_groups_->groups();
-  shard_bases_.assign(groups.size(), std::vector<Sid>(n, 0));
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const SequenceGroup& src = groups[g];
+  for (const SequenceGroup& src : raw_groups_->groups()) {
     const size_t m = src.num_sequences();
     for (size_t s = 0; s < n; ++s) {
-      SequenceGroup& dst = shard_groups_[s]->GroupFor(src.key());
+      SequenceGroup& dst = shard_groups[s]->GroupFor(src.key());
       const size_t begin = m * s / n;
       const size_t end = m * (s + 1) / n;
-      shard_bases_[g][s] = static_cast<Sid>(begin);
       for (size_t sid = begin; sid < end; ++sid) {
         dst.AddSequence(src.Rows(static_cast<Sid>(sid)));
       }
     }
   }
   for (size_t s = 0; s < n; ++s) {
-    shards_.push_back(std::make_unique<SOlapEngine>(shard_groups_[s],
-                                                    hierarchies_, shard_opts));
+    AddShard(std::make_unique<SOlapEngine>(shard_groups[s], hierarchies_,
+                                           shard_opts));
   }
+}
+
+void ShardedEngine::AddShard(std::unique_ptr<SOlapEngine> shard) {
+  shards_.push_back(shard.get());
+  owned_shards_.push_back(std::move(shard));
 }
 
 ThreadPool* ShardedEngine::ScatterPool() {
@@ -140,8 +137,7 @@ ThreadPool* ShardedEngine::ScatterPool() {
 }
 
 SOlapEngine* ShardedEngine::Monolith() {
-  if (borrowed_ != nullptr) return borrowed_;
-  if (shards_.size() == 1) return shards_[0].get();
+  if (shards_.size() == 1) return shards_[0];
   std::lock_guard<std::mutex> lock(fallback_mu_);
   if (!fallback_) {
     EngineOptions opts = options_;
@@ -157,15 +153,12 @@ SOlapEngine* ShardedEngine::Monolith() {
 Status ShardedEngine::EnableRemoteScatter(
     const std::vector<ShardEndpoint>& endpoints, RemoteShardOptions rpc,
     DegradePolicy policy, bool local_fallback, MetricsRegistry* metrics) {
-  if (borrowed_ != nullptr || shards_.size() <= 1) {
+  if (shards_.size() == 1 || endpoints.size() != shards_.size()) {
     return Status::InvalidArgument(
-        "remote scatter requires a sharded (shards > 1) engine");
-  }
-  if (endpoints.size() != shards_.size()) {
-    return Status::InvalidArgument(
-        "endpoint count does not match shard count: " +
-        std::to_string(endpoints.size()) + " vs " +
-        std::to_string(shards_.size()));
+        "remote scatter requires a sharded (shards > 1) engine and one "
+        "endpoint per shard: " +
+        std::to_string(endpoints.size()) + " endpoints for " +
+        std::to_string(shards_.size()) + " shards");
   }
   remote_clients_.clear();
   remote_clients_.reserve(endpoints.size());
@@ -182,11 +175,6 @@ Status ShardedEngine::EnableRemoteScatter(
   return Status::OK();
 }
 
-void ShardedEngine::DisableRemoteScatter() {
-  remote_clients_.clear();
-  shard_healthy_.reset();
-}
-
 void ShardedEngine::SetShardHealthy(size_t i, bool healthy) {
   if (shard_healthy_ != nullptr && i < remote_clients_.size()) {
     shard_healthy_[i].store(healthy, std::memory_order_relaxed);
@@ -199,8 +187,8 @@ bool ShardedEngine::ShardHealthy(size_t i) const {
 }
 
 bool ShardedEngine::Shardable(const CuboidSpec& spec) const {
-  if (borrowed_ != nullptr || shards_.size() <= 1) return true;
-  if (table_ == nullptr) return true;  // raw mode: the sequence is the unit
+  // One shard, or raw mode (the sequence is the unit): always.
+  if (shards_.size() == 1 || table_ == nullptr) return true;
   for (const LevelRef& ref : spec.seq.cluster_by) {
     if (ref.attr != shard_attr_) continue;
     const ConceptHierarchy* h =
@@ -224,12 +212,11 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::Execute(
 Result<std::shared_ptr<const SCuboid>> ShardedEngine::Execute(
     const CuboidSpec& spec, ExecStrategy strategy,
     const ExecControl& control) {
-  if (borrowed_ != nullptr) return borrowed_->Execute(spec, strategy, control);
   if (shards_.size() == 1) return shards_[0]->Execute(spec, strategy, control);
 
-  // Facade snapshot: multi-shard mutations (IngestRows, eviction,
-  // repartition) hold this gate exclusively, so a scattered execution sees
-  // every shard at one consistent facade epoch.
+  // Facade snapshot: multi-shard mutations (IngestRows, EvictBefore) hold
+  // this gate exclusively, so a scattered execution sees every shard at one
+  // consistent facade epoch.
   EpochGate::ReadLock rl(gate_);
   if (control.epoch_out != nullptr) *control.epoch_out = rl.epoch();
   ScanStats local;
@@ -404,147 +391,45 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::ExecuteScatter(
   return std::shared_ptr<const SCuboid>(merged);
 }
 
-Result<std::shared_ptr<const SCuboid>> ShardedEngine::ExecuteOnline(
-    const CuboidSpec& spec, size_t report_every,
-    const SOlapEngine::ProgressFn& progress) {
-  if (borrowed_ == nullptr && shards_.size() > 1) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.shard_fallbacks;
-  }
-  return Monolith()->ExecuteOnline(spec, report_every, progress);
-}
-
 Status ShardedEngine::PrecomputeIndex(const CuboidSpec& spec, size_t m,
                                       const LevelRef& position_ref) {
-  if (borrowed_ != nullptr || shards_.size() == 1 || !Shardable(spec)) {
+  if (!Shardable(spec)) {
     return Monolith()->PrecomputeIndex(spec, m, position_ref);
   }
-  for (auto& shard : shards_) {
-    Status s = shard->PrecomputeIndex(spec, m, position_ref);
-    if (!s.ok()) return s;
+  for (SOlapEngine* shard : shards_) {
+    SOLAP_RETURN_NOT_OK(shard->PrecomputeIndex(spec, m, position_ref));
   }
   return Status::OK();
 }
 
 Status ShardedEngine::WarmSequenceCache(const SequenceSpec& spec) {
-  if (borrowed_ != nullptr || shards_.size() == 1) {
-    return Monolith()->WarmSequenceCache(spec);
-  }
   CuboidSpec probe;
   probe.seq = spec;
   if (!Shardable(probe)) return Monolith()->WarmSequenceCache(spec);
-  for (auto& shard : shards_) {
-    Status s = shard->WarmSequenceCache(spec);
-    if (!s.ok()) return s;
+  for (SOlapEngine* shard : shards_) {
+    SOLAP_RETURN_NOT_OK(shard->WarmSequenceCache(spec));
   }
   return Status::OK();
 }
 
 Status ShardedEngine::MaterializeIndex(const SequenceSpec& formation,
                                        const IndexShape& shape) {
-  if (borrowed_ != nullptr || shards_.size() == 1) {
-    return Monolith()->MaterializeIndex(formation, shape);
-  }
   CuboidSpec probe;
   probe.seq = formation;
   if (!Shardable(probe)) return Monolith()->MaterializeIndex(formation, shape);
-  for (auto& shard : shards_) {
-    Status s = shard->MaterializeIndex(formation, shape);
-    if (!s.ok()) return s;
+  for (SOlapEngine* shard : shards_) {
+    SOLAP_RETURN_NOT_OK(shard->MaterializeIndex(formation, shape));
   }
   return Status::OK();
 }
 
-Result<std::shared_ptr<InvertedIndex>> ShardedEngine::GatherCompleteIndex(
-    size_t group_idx, const IndexShape& shape) {
-  if (borrowed_ != nullptr || raw_groups_ == nullptr) {
-    return Status::InvalidArgument(
-        "GatherCompleteIndex requires a raw-group sharded engine");
-  }
-  ScanStats local;
-  const size_t n = shards_.size();
-  // Per-shard sets and sid-block bases; one shard over the source set is
-  // the degenerate base-0 case.
-  std::vector<SequenceGroupSet*> sets;
-  std::vector<Sid> bases;
-  if (n == 1) {
-    sets.push_back(raw_groups_.get());
-    bases.push_back(0);
-  } else {
-    if (group_idx >= shard_bases_.size()) {
-      return Status::InvalidArgument("group index out of range");
-    }
-    for (size_t s = 0; s < n; ++s) {
-      sets.push_back(shard_groups_[s].get());
-      bases.push_back(shard_bases_[group_idx][s]);
-    }
-  }
-
-  std::vector<std::shared_ptr<InvertedIndex>> shard_indices;
-  shard_indices.reserve(sets.size());
-  for (SequenceGroupSet* set : sets) {
-    if (group_idx >= set->groups().size()) {
-      return Status::InvalidArgument("group index out of range");
-    }
-    auto built = BuildIndex(&set->groups()[group_idx], *set, hierarchies_,
-                            shape, &local);
-    if (!built.ok()) return built.status();
-    shard_indices.push_back(*built);
-  }
-
-  auto gathered = std::make_shared<InvertedIndex>(shape, /*complete=*/true);
-  ContainerOpCounts ops;
-  std::vector<SidList> scratches(shard_indices.size());
-  for (const auto& index : shard_indices) {
-    index->ForEachLogicalList([&](const PatternKey& pattern, const SidList*,
-                                  const SidList*) {
-      if (gathered->lists().count(pattern) != 0) return;
-      std::vector<const SidList*> lists;
-      lists.reserve(shard_indices.size());
-      for (size_t i = 0; i < shard_indices.size(); ++i) {
-        // LogicalList materializes base+delta per shard; may be nullptr.
-        lists.push_back(shard_indices[i]->LogicalList(pattern, &scratches[i]));
-      }
-      gathered->lists()[pattern] = GatherShardLists(
-          std::span<const SidList* const>(lists), bases, &ops);
-    });
-  }
-  local.container_array_ops += ops.array_ops;
-  local.container_bitmap_ops += ops.bitmap_ops;
-  local.container_run_ops += ops.run_ops;
-  local.container_gallop_ops += ops.gallop_ops;
-  MergeStats(local);
-  return gathered;
-}
-
-Status ShardedEngine::AppendRawSequences(
-    size_t group_idx, const std::vector<std::vector<Code>>& sequences) {
-  if (borrowed_ != nullptr) {
-    return borrowed_->AppendRawSequences(group_idx, sequences);
-  }
-  if (shards_.size() == 1) {
-    return shards_[0]->AppendRawSequences(group_idx, sequences);
-  }
-  // Contiguous blocks stay contiguous when the append lands in the last
-  // shard; results never depend on which shard owns a sequence.
-  EpochGate::WriteLock wl(gate_);
-  Status s = shards_.back()->AppendRawSequences(group_idx, sequences);
-  if (s.ok()) {
-    repository_->Clear();
-  } else {
-    wl.Abandon();
-  }
-  return s;
-}
-
 Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
                                  TraceContext* trace) {
-  if (borrowed_ != nullptr) return borrowed_->IngestRows(rows, trace);
+  if (shards_.size() == 1) return shards_[0]->IngestRows(rows, trace);
   if (mutable_table_ == nullptr) {
     return Status::InvalidArgument(
         "IngestRows requires the mutable-table constructor");
   }
-  if (shards_.size() == 1) return shards_[0]->IngestRows(rows, trace);
 
   TraceSpan span(trace, "ingest.append");
   span.Note("scope", "facade");
@@ -618,6 +503,7 @@ Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
     // The facade table holds the batch but some slice does not — rebuild
     // every slice from the source table so shards and facade agree again.
     shards_.clear();
+    owned_shards_.clear();
     shard_tables_.clear();
     BuildShards();
     ++local.formation_invalidations;
@@ -637,10 +523,9 @@ Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
 
 Status ShardedEngine::EvictBefore(const std::string& order_attr,
                                   int64_t cutoff) {
-  if (borrowed_ != nullptr) return borrowed_->EvictBefore(order_attr, cutoff);
   if (shards_.size() == 1) return shards_[0]->EvictBefore(order_attr, cutoff);
   EpochGate::WriteLock wl(gate_);
-  for (auto& shard : shards_) {
+  for (SOlapEngine* shard : shards_) {
     SOLAP_RETURN_NOT_OK(shard->EvictBefore(order_attr, cutoff));
   }
   {
@@ -654,23 +539,19 @@ Status ShardedEngine::EvictBefore(const std::string& order_attr,
 }
 
 uint64_t ShardedEngine::epoch() const {
-  if (borrowed_ != nullptr) return borrowed_->epoch();
-  if (shards_.size() == 1) return shards_[0]->epoch();
-  return gate_.epoch();
+  return shards_.size() == 1 ? shards_[0]->epoch() : gate_.epoch();
 }
 
 Status ShardedEngine::MergeDeltasNow(TraceContext* trace) {
-  if (borrowed_ != nullptr) return borrowed_->MergeDeltasNow(trace);
-  for (auto& shard : shards_) {
+  for (SOlapEngine* shard : shards_) {
     SOLAP_RETURN_NOT_OK(shard->MergeDeltasNow(trace));
   }
   return Status::OK();
 }
 
 SOlapEngine::DeltaStats ShardedEngine::DeltaSnapshot() const {
-  if (borrowed_ != nullptr) return borrowed_->DeltaSnapshot();
   SOlapEngine::DeltaStats out;
-  for (const auto& shard : shards_) {
+  for (const SOlapEngine* shard : shards_) {
     const SOlapEngine::DeltaStats s = shard->DeltaSnapshot();
     out.segments += s.segments;
     out.bytes += s.bytes;
@@ -678,66 +559,34 @@ SOlapEngine::DeltaStats ShardedEngine::DeltaSnapshot() const {
   return out;
 }
 
-void ShardedEngine::NotifyTableAppend() {
-  if (borrowed_ != nullptr) return borrowed_->NotifyTableAppend();
-  if (shards_.size() == 1) return shards_[0]->NotifyTableAppend();
-  // Repartition the (append-only) source table into fresh slices under the
-  // facade gate — scattered queries wait rather than racing the rebuild.
-  EpochGate::WriteLock wl(gate_);
-  {
-    std::lock_guard<std::mutex> lock(fallback_mu_);
-    if (fallback_) fallback_->NotifyTableAppend();
-  }
-  repository_->Clear();
-  shards_.clear();
-  shard_tables_.clear();
-  BuildShards();
-}
-
 ScanStats& ShardedEngine::stats() {
-  if (borrowed_ != nullptr) return borrowed_->stats();
-  if (shards_.size() == 1) return shards_[0]->stats();
-  return stats_;
+  return shards_.size() == 1 ? shards_[0]->stats() : stats_;
 }
 
 ScanStats ShardedEngine::StatsSnapshot() const {
-  if (borrowed_ != nullptr) return borrowed_->StatsSnapshot();
   if (shards_.size() == 1) return shards_[0]->StatsSnapshot();
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;
 }
 
 size_t ShardedEngine::IndexCacheBytes() const {
-  if (borrowed_ != nullptr) return borrowed_->IndexCacheBytes();
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->IndexCacheBytes();
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  if (fallback_) total += fallback_->IndexCacheBytes();
-  return total;
+  return SumOverExecutors(
+      [](const SOlapEngine& e) { return e.IndexCacheBytes(); });
 }
 
 size_t ShardedEngine::MemUsed() const {
-  if (borrowed_ != nullptr) return borrowed_->governor().used();
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->governor().used();
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  if (fallback_) total += fallback_->governor().used();
-  return total;
+  return SumOverExecutors(
+      [](const SOlapEngine& e) { return e.governor().used(); });
 }
 
 size_t ShardedEngine::MemBudget() const {
-  if (borrowed_ != nullptr) return borrowed_->governor().budget();
-  if (shards_.size() == 1) return shards_[0]->governor().budget();
-  return options_.memory_budget_bytes;
+  return SumOverExecutors(
+      [](const SOlapEngine& e) { return e.governor().budget(); });
 }
 
 size_t ShardedEngine::MemRejects() const {
-  if (borrowed_ != nullptr) return borrowed_->governor().rejects();
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->governor().rejects();
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  if (fallback_) total += fallback_->governor().rejects();
-  return total;
+  return SumOverExecutors(
+      [](const SOlapEngine& e) { return e.governor().rejects(); });
 }
 
 }  // namespace solap

@@ -12,10 +12,15 @@
 // II joins see complete sequences and their per-cell counter state merges
 // additively — Gray's partial-aggregation shape.
 //
-// shards == 1 is the bit-identical legacy path: one SOlapEngine, every call
-// a plain delegation. Queries a sharded engine cannot scatter (CLUSTER BY
-// without the shard-by attribute at base level, online aggregation) route
-// to a lazily-built monolithic fallback engine over the full data.
+// The facade has exactly two shapes:
+//  - one shard: every call delegates to that executor, which the facade
+//    either owns (shards == 1) or borrows from the caller
+//    (ShardedEngine(SOlapEngine*)) — bit-identical to a plain SOlapEngine;
+//  - N shards: queries scatter and gather. Queries a sharded engine cannot
+//    scatter (CLUSTER BY without the shard-by attribute at base level)
+//    route to a monolithic fallback engine over the full data, built on
+//    the first such query (or by Monolith(), which EXPLAIN uses) with its
+//    own full memory budget.
 #ifndef SOLAP_ENGINE_SHARDED_ENGINE_H_
 #define SOLAP_ENGINE_SHARDED_ENGINE_H_
 
@@ -32,11 +37,12 @@ namespace solap {
 
 /// \brief Scatter-gather facade over N shard-local executors.
 ///
-/// Mirrors the SOlapEngine query surface (Execute / ExecuteOnline / offline
-/// builders / incremental update / introspection) so QueryService, the
-/// shell and the benches can hold either transparently. Thread-safe to the
-/// same degree as SOlapEngine: concurrent Execute calls are safe, mutating
-/// administration calls must be quiesced by the caller.
+/// Mirrors the SOlapEngine query surface (Execute / offline builders /
+/// streaming ingestion / introspection) so QueryService, the shell and the
+/// benches can hold either transparently. Thread-safe to the same degree as
+/// SOlapEngine: concurrent Execute calls are safe, and the writers
+/// (IngestRows, EvictBefore) serialize against them through an epoch gate.
+/// EnableRemoteScatter must run before the first query.
 class ShardedEngine {
  public:
   /// Table-backed: partitions `table`'s rows into options.shards slices by
@@ -53,8 +59,8 @@ class ShardedEngine {
   ShardedEngine(std::shared_ptr<SequenceGroupSet> raw_groups,
                 const HierarchyRegistry* hierarchies,
                 EngineOptions options = {});
-  /// Wraps an engine owned elsewhere (QueryService's legacy constructor
-  /// path): every call delegates to `borrowed`; num_shards() == 1.
+  /// The one-shard shape over an engine owned elsewhere (QueryService's
+  /// SOlapEngine constructor): every call delegates to `borrowed`.
   explicit ShardedEngine(SOlapEngine* borrowed);
 
   ~ShardedEngine();
@@ -71,13 +77,6 @@ class ShardedEngine {
                                                  ExecStrategy strategy,
                                                  const ExecControl& control);
 
-  /// Online aggregation reports monotone partial fractions, which a
-  /// scatter cannot interleave deterministically — always runs on the
-  /// monolithic engine (counted as a shard_fallback when sharded).
-  Result<std::shared_ptr<const SCuboid>> ExecuteOnline(
-      const CuboidSpec& spec, size_t report_every,
-      const SOlapEngine::ProgressFn& progress);
-
   // -- Offline index precomputation -----------------------------------------
 
   /// Fan out to every shard (each builds/caches over its slice).
@@ -86,26 +85,6 @@ class ShardedEngine {
   Status WarmSequenceCache(const SequenceSpec& spec);
   Status MaterializeIndex(const SequenceSpec& formation,
                           const IndexShape& shape);
-
-  /// Raw-mode gather introspection: builds the complete size-m index of
-  /// `shape` over group `group_idx` in every shard, rebases each shard's
-  /// group-local sids by its block base and unions per-key lists through
-  /// the P-ROLL-UP container machinery (GatherShardLists) — yielding an
-  /// index identical to one built over the unpartitioned group. Container
-  /// ops count into the engine totals. InvalidArgument for table-backed
-  /// engines (hash partitioning does not preserve sid blocks).
-  Result<std::shared_ptr<InvertedIndex>> GatherCompleteIndex(
-      size_t group_idx, const IndexShape& shape);
-
-  // -- Incremental update ----------------------------------------------------
-
-  /// Raw mode: appends to the *last* shard's block of group `group_idx`
-  /// (blocks stay contiguous; results never depend on sid placement).
-  Status AppendRawSequences(size_t group_idx,
-                            const std::vector<std::vector<Code>>& sequences);
-  /// Table mode: repartitions the (append-only) source table and rebuilds
-  /// the shard slices, then invalidates all caches.
-  void NotifyTableAppend();
 
   // -- Streaming ingestion (docs/INGESTION.md) -------------------------------
 
@@ -125,12 +104,11 @@ class ShardedEngine {
   Status EvictBefore(const std::string& order_attr, int64_t cutoff);
 
   /// The facade epoch: one gate serializes facade-level writers against
-  /// scattered query executions; delegate/1-shard modes report the inner
-  /// engine's epoch so callers see one coherent counter either way.
+  /// scattered query executions; the one-shard shape reports its
+  /// executor's epoch so callers see one coherent counter either way.
   uint64_t epoch() const;
 
-  /// Foreground delta merge across every shard (and the inner engine in
-  /// delegate/1-shard modes).
+  /// Foreground delta merge across every shard.
   Status MergeDeltasNow(TraceContext* trace = nullptr);
 
   /// Delta-segment footprint summed over all shards.
@@ -138,14 +116,16 @@ class ShardedEngine {
 
   // -- Introspection ---------------------------------------------------------
 
-  /// Engine totals. In delegate mode (shards == 1) these are the single
-  /// engine's counters; sharded mode keeps facade-level totals where each
-  /// scattered query contributes its *merged* per-shard counters once.
+  /// Engine totals. The one-shard shape reports its executor's counters;
+  /// the N-shard shape keeps facade-level totals where each scattered
+  /// query contributes its *merged* per-shard counters once.
   ScanStats& stats();
   ScanStats StatsSnapshot() const;
   /// Bytes of inverted indices cached across all shards (+ fallback).
   size_t IndexCacheBytes() const;
-  /// Memory accounting summed over the shard governors (+ fallback).
+  /// Memory accounting summed over the shard governors (+ fallback): the
+  /// budget is what the governors enforce — budget/N per shard, plus the
+  /// fallback's full budget once it exists.
   size_t MemUsed() const;
   size_t MemBudget() const;
   size_t MemRejects() const;
@@ -154,17 +134,16 @@ class ShardedEngine {
   const EngineOptions& options() const { return options_; }
 
   size_t num_shards() const { return shards_.size(); }
-  /// Shard-local executor `i` (tests, benches).
-  SOlapEngine* shard(size_t i) { return shards_[i].get(); }
 
-  /// The monolithic engine over the full data: with shards == 1 the only
+  /// The monolithic engine over the full data: in the one-shard shape its
   /// executor; otherwise the lazily-built fallback that answers
   /// non-shardable queries and serves optimizer introspection (EXPLAIN).
   SOlapEngine* Monolith();
 
-  /// True when `spec` can scatter: raw-mode always; table mode iff the
-  /// CLUSTER BY includes the shard-by attribute at its base level (a
-  /// coarser level could split one logical sequence across shards).
+  /// True when `spec` can scatter (or there is one shard): raw mode
+  /// always; table mode iff the CLUSTER BY includes the shard-by attribute
+  /// at its base level (a coarser level could split one logical sequence
+  /// across shards).
   bool Shardable(const CuboidSpec& spec) const;
 
   // -- Distributed scatter (ISSUE 9) ----------------------------------------
@@ -179,14 +158,7 @@ class ShardedEngine {
                              DegradePolicy policy = DegradePolicy::kStrict,
                              bool local_fallback = true,
                              MetricsRegistry* metrics = nullptr);
-  /// Back to the in-process scatter. Not thread-safe against running
-  /// queries (quiesce first, as with other admin calls).
-  void DisableRemoteScatter();
   bool remote_scatter() const { return !remote_clients_.empty(); }
-  /// Remote client of shard `i` (supervisor, tests); null when not remote.
-  RemoteShardClient* remote_client(size_t i) {
-    return i < remote_clients_.size() ? remote_clients_[i].get() : nullptr;
-  }
   /// Supervisor seam: an unhealthy shard is skipped (no RPC, no retry
   /// budget burned) and goes straight to the degradation policy.
   void SetShardHealthy(size_t i, bool healthy);
@@ -194,6 +166,7 @@ class ShardedEngine {
 
  private:
   void BuildShards();
+  void AddShard(std::unique_ptr<SOlapEngine> shard);
 
   /// The scatter-gather path (num_shards() > 1 and Shardable(spec)).
   Result<std::shared_ptr<const SCuboid>> ExecuteScatter(
@@ -207,11 +180,21 @@ class ShardedEngine {
     stats_ += delta;
   }
 
+  /// Sums `fn` over every executor: the shards, then the fallback if built.
+  template <typename Fn>
+  size_t SumOverExecutors(Fn fn) const {
+    size_t total = 0;
+    for (const SOlapEngine* shard : shards_) total += fn(*shard);
+    std::lock_guard<std::mutex> lock(fallback_mu_);
+    if (fallback_) total += fn(*fallback_);
+    return total;
+  }
+
   // Construction inputs (table XOR raw_groups, as with SOlapEngine).
   const EventTable* table_ = nullptr;
   /// Non-null only via the mutable-table constructor; gates IngestRows.
   EventTable* mutable_table_ = nullptr;
-  /// Facade-level writer/reader gate (sharded mode; shard engines gate
+  /// Facade-level writer/reader gate (N-shard shape; shard engines gate
   /// their own slices, this one makes multi-shard mutations atomic with
   /// respect to scattered executions).
   EpochGate gate_;
@@ -223,17 +206,15 @@ class ShardedEngine {
   int shard_col_ = -1;
   std::string shard_attr_;
 
-  // Partitioned data, one slice per shard (empty in delegate/1-shard mode
-  // over the original data).
+  // Partitioned table slices, one per shard (N-shard table mode only).
   std::vector<std::unique_ptr<EventTable>> shard_tables_;
-  std::vector<std::shared_ptr<SequenceGroupSet>> shard_groups_;
-  /// Raw mode: base_[g][s] = first global sid of shard s's block of group g.
-  std::vector<std::vector<Sid>> shard_bases_;
 
-  std::vector<std::unique_ptr<SOlapEngine>> shards_;
-  SOlapEngine* borrowed_ = nullptr;  // delegate mode over a foreign engine
+  /// The executors every call goes through; shards_.size() is the shape.
+  /// Non-owning: they point into owned_shards_, or at a borrowed engine.
+  std::vector<SOlapEngine*> shards_;
+  std::vector<std::unique_ptr<SOlapEngine>> owned_shards_;
 
-  // Lazily-built monolithic fallback (sharded mode only).
+  // Lazily-built monolithic fallback (N-shard shape only).
   std::unique_ptr<SOlapEngine> fallback_;
   mutable std::mutex fallback_mu_;
 
@@ -251,7 +232,7 @@ class ShardedEngine {
   DegradePolicy degrade_policy_ = DegradePolicy::kStrict;
   bool remote_local_fallback_ = true;
 
-  // Scatter fan-out pool (sharded mode; sized by EngineOptions::exec_threads,
+  // Scatter fan-out pool (N-shard shape; sized by EngineOptions::exec_threads,
   // clamped to the shard count). nullptr = scatter runs inline.
   std::unique_ptr<ThreadPool> scatter_pool_;
   bool scatter_pool_created_ = false;

@@ -47,14 +47,15 @@ ExprPtr Expr::Not(ExprPtr x) {
   return e;
 }
 
-Status Expr::Bind(const Schema& schema,
-                  const std::vector<std::string>* placeholders) {
+Result<ExprPtr> Expr::Bind(const Schema& schema,
+                           const std::vector<std::string>* placeholders) const {
+  auto bound = ExprPtr(new Expr(*this));
   switch (op_) {
     case ExprOp::kConst:
-      return Status::OK();
+      break;
     case ExprOp::kColumn: {
-      SOLAP_ASSIGN_OR_RETURN(col_index_, schema.RequireField(column_));
-      return Status::OK();
+      SOLAP_ASSIGN_OR_RETURN(bound->col_index_, schema.RequireField(column_));
+      break;
     }
     case ExprOp::kPlaceholder: {
       if (placeholders == nullptr) {
@@ -68,16 +69,17 @@ Status Expr::Bind(const Schema& schema,
         return Status::InvalidArgument("unknown event placeholder '" +
                                        placeholder_ + "'");
       }
-      ph_index_ = static_cast<int>(it - placeholders->begin());
-      SOLAP_ASSIGN_OR_RETURN(col_index_, schema.RequireField(column_));
-      return Status::OK();
+      bound->ph_index_ = static_cast<int>(it - placeholders->begin());
+      SOLAP_ASSIGN_OR_RETURN(bound->col_index_, schema.RequireField(column_));
+      break;
     }
     default:
-      for (const ExprPtr& c : children_) {
-        SOLAP_RETURN_NOT_OK(c->Bind(schema, placeholders));
+      for (ExprPtr& c : bound->children_) {
+        SOLAP_ASSIGN_OR_RETURN(c, c->Bind(schema, placeholders));
       }
-      return Status::OK();
+      break;
   }
+  return bound;
 }
 
 Value Expr::EvalImpl(const EventTable& table, RowId row,

@@ -38,11 +38,12 @@ enum class ExprOp {
   kNot,
 };
 
-/// \brief Immutable-after-Bind expression tree node.
+/// \brief Immutable expression tree node.
 ///
-/// Build trees with the factory helpers below, then call Bind() once against
-/// the table schema (and, for matching predicates, the placeholder list)
-/// before evaluating.
+/// Build trees with the factory helpers below, then Bind() them against the
+/// table schema (and, for matching predicates, the placeholder list) and
+/// evaluate the bound copy Bind() returns. No call modifies a tree once it
+/// is built, so concurrent executors may share one parsed tree.
 class Expr {
  public:
   // --- factories ---------------------------------------------------------
@@ -67,18 +68,18 @@ class Expr {
   const std::string& placeholder() const { return placeholder_; }
   const std::vector<ExprPtr>& children() const { return children_; }
 
-  /// Resolves column names to indices against `schema`. For matching
-  /// predicates, `placeholders` lists the placeholder names in template
-  /// position order; for WHERE clauses pass nullptr (placeholder references
-  /// then fail to bind).
-  Status Bind(const Schema& schema,
-              const std::vector<std::string>* placeholders);
+  /// Returns a copy of this tree with column names resolved to indices
+  /// against `schema`. For matching predicates, `placeholders` lists the
+  /// placeholder names in template position order; for WHERE clauses pass
+  /// nullptr (placeholder references then fail to bind).
+  Result<ExprPtr> Bind(const Schema& schema,
+                       const std::vector<std::string>* placeholders) const;
 
-  /// Row-context evaluation (WHERE). Bind() must have succeeded.
+  /// Row-context evaluation (WHERE), on a tree Bind() returned.
   Value EvalRow(const EventTable& table, RowId row) const;
 
-  /// Match-context evaluation: `matched[i]` is the row bound to template
-  /// position i (the i-th placeholder).
+  /// Match-context evaluation, on a tree Bind() returned: `matched[i]` is
+  /// the row bound to template position i (the i-th placeholder).
   Value EvalMatch(const EventTable& table, const RowId* matched) const;
 
   /// True if any node references a placeholder.

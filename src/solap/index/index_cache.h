@@ -30,6 +30,11 @@ namespace solap {
 /// template-filtered ones distinguished by constraint signature.
 class GroupIndexCache {
  public:
+  /// `governor` (may be null) is the byte-budget accountant charged by
+  /// Insert and credited by Clear/destruction; fixed for the cache's life.
+  explicit GroupIndexCache(MemoryGovernor* governor = nullptr)
+      : governor_(governor) {}
+
   /// Index matching `shape` with exactly `constraint_sig` ("" = complete),
   /// or nullptr.
   std::shared_ptr<InvertedIndex> Find(const IndexShape& shape,
@@ -48,10 +53,6 @@ class GroupIndexCache {
   /// uncached.
   Status Insert(std::shared_ptr<InvertedIndex> index);
 
-  /// Attaches the byte-budget accountant charged by Insert and credited by
-  /// Clear/destruction. Set once at engine construction, before any use.
-  void set_governor(MemoryGovernor* governor) { governor_ = governor; }
-
   /// Snapshot of all cached indices (inspection, derivation searches,
   /// eviction). Returned by value: the cache may be concurrently extended.
   std::vector<std::shared_ptr<InvertedIndex>> entries() const;
@@ -66,7 +67,7 @@ class GroupIndexCache {
       const IndexShape& shape, const std::string& constraint_sig) const;
 
   mutable std::shared_mutex mu_;
-  MemoryGovernor* governor_ = nullptr;
+  MemoryGovernor* const governor_;
   size_t charged_bytes_ = 0;  // total currently charged to governor_
   std::vector<std::shared_ptr<InvertedIndex>> entries_;
   // Governor charge of the matching entries_ slot (refunded on replace).

@@ -130,7 +130,12 @@ void HttpServer::Stop() {
   if (!started_.load(std::memory_order_acquire)) return;
   if (stopped_.exchange(true)) return;
   Drain();
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Under queue_mu_: a worker between its wait predicate and blocking
+    // would otherwise miss the notify_all below and never wake.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stopping_.store(true, std::memory_order_release);
+  }
   // Closing the write end makes the read end permanently readable
   // (POLLHUP): one shot wakes the acceptor and every worker poll, now and
   // for any poll they enter later.

@@ -60,9 +60,8 @@ Result<BoundPattern> BoundPattern::Bind(
           std::to_string(tmpl->num_positions()) + "), got " +
           std::to_string(placeholders.size()));
     }
-    SOLAP_RETURN_NOT_OK(
-        predicate->Bind(set.table()->schema(), &placeholders));
-    bp.predicate_ = predicate.get();
+    SOLAP_ASSIGN_OR_RETURN(
+        bp.predicate_, predicate->Bind(set.table()->schema(), &placeholders));
   }
   return bp;
 }

@@ -133,7 +133,7 @@ class BoundPattern {
   std::vector<const Code*> pos_view_;          // per position
   std::vector<std::vector<Code>> fixed_codes_;  // per dim (empty = free)
   const uint32_t* offsets_ = nullptr;
-  const Expr* predicate_ = nullptr;
+  ExprPtr predicate_;  // bound copy of the matching predicate
 };
 
 // ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ Result<std::shared_ptr<SequenceGroupSet>> SequenceQueryEngine::Build(
                                    "attribute");
   }
   // Bind clauses.
+  ExprPtr where;
   if (spec.where != nullptr) {
-    SOLAP_RETURN_NOT_OK(spec.where->Bind(table.schema(), nullptr));
+    SOLAP_ASSIGN_OR_RETURN(where, spec.where->Bind(table.schema(), nullptr));
   }
   std::vector<DimensionBinding> cluster_bindings;
   for (const LevelRef& r : spec.cluster_by) {
@@ -59,7 +60,7 @@ Result<std::shared_ptr<SequenceGroupSet>> SequenceQueryEngine::Build(
   CellKey ckey(cluster_bindings.size());
   for (RowId row = 0; row < n; ++row) {
     if (filter != nullptr && !filter->Keep(table, row)) continue;
-    if (spec.where != nullptr && !spec.where->EvalRow(table, row).AsBool()) {
+    if (where != nullptr && !where->EvalRow(table, row).AsBool()) {
       continue;
     }
     for (size_t i = 0; i < cluster_bindings.size(); ++i) {

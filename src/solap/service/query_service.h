@@ -76,16 +76,17 @@ struct QueryResponse {
 /// \brief Concurrent query endpoint over one engine.
 ///
 /// Routes through a ShardedEngine, so a service fronts one monolithic
-/// executor or N shard-local executors transparently (the legacy
-/// SOlapEngine constructor wraps the engine in a 1-shard delegate).
+/// executor or N shard-local executors transparently (the SOlapEngine
+/// constructor wraps the engine in the facade's one-shard shape).
 ///
 /// Thread-safe; Submit may be called from any thread. Destruction (or
 /// Shutdown) stops admitting, cancels queued-but-unstarted queries and
 /// joins the workers — every future obtained from Submit is fulfilled.
 class QueryService {
  public:
-  /// `engine` must outlive the service and not receive mutating admin
-  /// calls (AppendRawSequences / NotifyTableAppend) while queries run.
+  /// `engine` must outlive the service. Its writers (IngestRows,
+  /// EvictBefore, AppendRawSequences, NotifyTableAppend) serialize against
+  /// queries through the engine's epoch gate, so they may run meanwhile.
   QueryService(SOlapEngine* engine, ServiceOptions options = {});
   /// Sharded front: scattered queries, per-shard counters and scatter/
   /// gather spans flow through the service unchanged.
@@ -188,7 +189,7 @@ class QueryService {
   void Shutdown();
 
  private:
-  /// Legacy-constructor plumbing: owns the 1-shard delegate wrapper.
+  /// SOlapEngine-constructor plumbing: owns the one-shard facade.
   QueryService(std::unique_ptr<ShardedEngine> owned, ServiceOptions options);
 
   /// Synchronizes duplicate in-flight specs (single-flight): the first
@@ -212,8 +213,8 @@ class QueryService {
   bool EnterFlight(const std::string& key);
   void FinishFlight(const std::string& key);
 
-  // Owned 1-shard delegate built by the legacy SOlapEngine constructor;
-  // engine_ then points at it. Declared before engine_'s users.
+  // Owned one-shard facade built by the SOlapEngine constructor; engine_
+  // then points at it. Declared before engine_'s users.
   std::unique_ptr<ShardedEngine> owned_engine_;
   ShardedEngine* engine_;
   ServiceOptions options_;

@@ -17,9 +17,27 @@ class ExprTest : public ::testing::Test {
 TEST_F(ExprTest, ColumnEqualsString) {
   ExprPtr e = Expr::Eq(Expr::Col("location"), Expr::Lit(Value::String(
                                                   "Glenmont")));
-  ASSERT_TRUE(e->Bind(table_->schema(), nullptr).ok());
-  EXPECT_TRUE(e->EvalRow(*table_, 0).AsBool());   // s1 starts at Glenmont
-  EXPECT_FALSE(e->EvalRow(*table_, 1).AsBool());  // then Pentagon
+  auto bound = e->Bind(table_->schema(), nullptr);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_TRUE((*bound)->EvalRow(*table_, 0).AsBool());   // s1 at Glenmont
+  EXPECT_FALSE((*bound)->EvalRow(*table_, 1).AsBool());  // then Pentagon
+}
+
+// Bind returns a bound copy and leaves the tree alone, so one parsed tree
+// can be bound against several schemas (or by several executors at once).
+TEST_F(ExprTest, BindLeavesTheTreeUntouched) {
+  ExprPtr e = Expr::Eq(Expr::Col("location"), Expr::Lit(Value::String(
+                                                  "Glenmont")));
+  auto bound = e->Bind(table_->schema(), nullptr);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_NE(*bound, e);
+  // A schema that puts "location" at another index binds independently.
+  Schema other{std::vector<Field>{
+      {"pad", ValueType::kInt64, FieldRole::kDimension},
+      {"location", ValueType::kString, FieldRole::kDimension}}};
+  ASSERT_TRUE(e->Bind(other, nullptr).ok());
+  EXPECT_TRUE((*bound)->EvalRow(*table_, 0).AsBool());
+  EXPECT_FALSE((*bound)->EvalRow(*table_, 1).AsBool());
 }
 
 TEST_F(ExprTest, TimestampRange) {
@@ -28,11 +46,12 @@ TEST_F(ExprTest, TimestampRange) {
       Expr::Ge(Expr::Col("time"), Expr::Lit(Value::Timestamp(mid))),
       Expr::Lt(Expr::Col("time"),
                Expr::Lit(Value::Timestamp(mid + 120))));
-  ASSERT_TRUE(e->Bind(table_->schema(), nullptr).ok());
-  EXPECT_FALSE(e->EvalRow(*table_, 0).AsBool());
-  EXPECT_TRUE(e->EvalRow(*table_, 2).AsBool());
-  EXPECT_TRUE(e->EvalRow(*table_, 3).AsBool());
-  EXPECT_FALSE(e->EvalRow(*table_, 4).AsBool());
+  auto bound = e->Bind(table_->schema(), nullptr);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_FALSE((*bound)->EvalRow(*table_, 0).AsBool());
+  EXPECT_TRUE((*bound)->EvalRow(*table_, 2).AsBool());
+  EXPECT_TRUE((*bound)->EvalRow(*table_, 3).AsBool());
+  EXPECT_FALSE((*bound)->EvalRow(*table_, 4).AsBool());
 }
 
 TEST_F(ExprTest, BooleanConnectives) {
@@ -41,16 +60,19 @@ TEST_F(ExprTest, BooleanConnectives) {
       Expr::Eq(Expr::Col("action"), Expr::Lit(Value::String("out")));
   ExprPtr either = Expr::Or(in, out);
   ExprPtr neither = Expr::Not(either);
-  ASSERT_TRUE(either->Bind(table_->schema(), nullptr).ok());
-  ASSERT_TRUE(neither->Bind(table_->schema(), nullptr).ok());
-  EXPECT_TRUE(either->EvalRow(*table_, 0).AsBool());
-  EXPECT_FALSE(neither->EvalRow(*table_, 0).AsBool());
+  auto bound_either = either->Bind(table_->schema(), nullptr);
+  auto bound_neither = neither->Bind(table_->schema(), nullptr);
+  ASSERT_TRUE(bound_either.ok());
+  ASSERT_TRUE(bound_neither.ok());
+  EXPECT_TRUE((*bound_either)->EvalRow(*table_, 0).AsBool());
+  EXPECT_FALSE((*bound_neither)->EvalRow(*table_, 0).AsBool());
 }
 
 TEST_F(ExprTest, ComparisonOperators) {
   auto check = [&](ExprPtr e, bool expect) {
-    ASSERT_TRUE(e->Bind(table_->schema(), nullptr).ok());
-    EXPECT_EQ(e->EvalRow(*table_, 0).AsBool(), expect);
+    auto bound = e->Bind(table_->schema(), nullptr);
+    ASSERT_TRUE(bound.ok());
+    EXPECT_EQ((*bound)->EvalRow(*table_, 0).AsBool(), expect);
   };
   ExprPtr amt = Expr::Col("amount");
   check(Expr::Eq(amt, Expr::Lit(Value::Double(0.0))), true);
@@ -67,17 +89,18 @@ TEST_F(ExprTest, PlaceholderEvaluation) {
       Expr::Eq(Expr::PCol("x1", "action"), Expr::Lit(Value::String("in"))),
       Expr::Eq(Expr::PCol("y1", "action"), Expr::Lit(Value::String("out"))));
   std::vector<std::string> placeholders = {"x1", "y1"};
-  ASSERT_TRUE(e->Bind(table_->schema(), &placeholders).ok());
+  auto bound = e->Bind(table_->schema(), &placeholders);
+  ASSERT_TRUE(bound.ok());
   RowId matched_ok[] = {0, 1};   // in, out
   RowId matched_bad[] = {1, 0};  // out, in
-  EXPECT_TRUE(e->EvalMatch(*table_, matched_ok).AsBool());
-  EXPECT_FALSE(e->EvalMatch(*table_, matched_bad).AsBool());
+  EXPECT_TRUE((*bound)->EvalMatch(*table_, matched_ok).AsBool());
+  EXPECT_FALSE((*bound)->EvalMatch(*table_, matched_bad).AsBool());
 }
 
 TEST_F(ExprTest, PlaceholderRejectedOutsidePredicate) {
   ExprPtr e = Expr::Eq(Expr::PCol("x1", "action"),
                        Expr::Lit(Value::String("in")));
-  Status s = e->Bind(table_->schema(), nullptr);
+  Status s = e->Bind(table_->schema(), nullptr).status();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("x1.action"), std::string::npos);
 }
@@ -116,8 +139,7 @@ TEST_F(ExprTest, ShortCircuitSemantics) {
   Schema empty{std::vector<Field>{}};
   EventTable dummy{empty};
   auto eval = [&](ExprPtr e) {
-    (void)e->Bind(empty, nullptr);
-    return e->EvalRow(dummy, 0).AsBool();
+    return (*e->Bind(empty, nullptr))->EvalRow(dummy, 0).AsBool();
   };
   EXPECT_TRUE(eval(Expr::And(t, t)));
   EXPECT_FALSE(eval(Expr::And(t, f)));

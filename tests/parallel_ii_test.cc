@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "solap/engine/engine.h"
@@ -167,6 +169,70 @@ TEST(ParallelII, PoolBackedCounterScanIdentical) {
     CellValue other = (*b)->CellAt(key);
     EXPECT_EQ(cell.count, other.count);
     EXPECT_NEAR(cell.sum, other.sum, 1e-6 * (1.0 + std::fabs(cell.sum)));
+  }
+}
+
+// Concurrent II queries over the one synthetic sequence group share one
+// GroupIndexCache: while one query inserts an index, others look the cache
+// up. A lookup must not write to the cache (TSan, tools/check.sh), and
+// every answer must match a serial engine's.
+TEST(ParallelII, ConcurrentQueriesShareOneGroupIndexCache) {
+  SyntheticParams p;
+  p.num_sequences = 1500;
+  p.num_symbols = 20;
+  p.mean_length = 8;
+  SyntheticData data = GenerateSynthetic(p);
+  // Every pair of hierarchy levels is its own index shape, so each query
+  // builds and inserts indices instead of hitting another query's.
+  const char* levels[] = {SyntheticData::kLevelBase,
+                          SyntheticData::kLevelGroup,
+                          SyntheticData::kLevelSuper};
+  std::vector<CuboidSpec> specs;
+  for (const char* x : levels) {
+    for (const char* y : levels) {
+      CuboidSpec spec;
+      spec.symbols = {"X", "Y"};
+      spec.dims = {PatternDim{"X", {SyntheticData::kAttr, x}, {}, ""},
+                   PatternDim{"Y", {SyntheticData::kAttr, y}, {}, ""}};
+      specs.push_back(spec);
+      spec.symbols = {"X", "Y", "X"};
+      specs.push_back(std::move(spec));
+    }
+  }
+
+  SOlapEngine serial(data.groups, data.hierarchies.get());
+  std::vector<std::shared_ptr<const SCuboid>> expect;
+  for (const CuboidSpec& spec : specs) {
+    auto r = serial.Execute(spec, ExecStrategy::kInvertedIndex);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    expect.push_back(*r);
+  }
+
+  EngineOptions opts;
+  opts.repository_capacity_bytes = 0;  // every query reaches the index cache
+  SOlapEngine shared(data.groups, data.hierarchies.get(), opts);
+  constexpr size_t kClients = 4;
+  std::vector<std::vector<Result<std::shared_ptr<const SCuboid>>>> got(
+      kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      // Each client walks the specs from its own offset, so builds of one
+      // shape overlap lookups of others.
+      for (size_t i = 0; i < specs.size(); ++i) {
+        got[c].push_back(shared.Execute(specs[(c * 5 + i) % specs.size()],
+                                        ExecStrategy::kInvertedIndex));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (size_t c = 0; c < kClients; ++c) {
+    for (size_t i = 0; i < specs.size(); ++i) {
+      const auto& r = got[c][i];
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ExpectCuboidsIdentical(*expect[(c * 5 + i) % specs.size()], **r,
+                             "concurrent II query");
+    }
   }
 }
 

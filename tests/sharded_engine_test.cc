@@ -4,14 +4,16 @@
 // client can observe. These tests pin that contract for 1 vs 2 vs 8 shards
 // across a QuerySet-A-style iterative session under both strategies,
 // table-backed FP SUM merges, iceberg-after-merge semantics, the
-// non-shardable fallback route, the gathered complete index, and — in
-// failpoint builds — a chaos run with every engine failpoint armed.
+// non-shardable fallback route and its memory budget, concurrent clients
+// sharing one parsed spec, and — in failpoint builds — a chaos run with
+// every engine failpoint armed.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "solap/common/trace.h"
@@ -20,7 +22,7 @@
 #include "solap/engine/sharded_engine.h"
 #include "solap/gen/synthetic.h"
 #include "solap/gen/transit.h"
-#include "solap/index/build_index.h"
+#include "solap/parser/parser.h"
 #include "solap/service/query_service.h"
 
 #ifdef SOLAP_FAILPOINTS
@@ -300,6 +302,36 @@ TEST(ShardedEngine, CoarseClusterByRoutesToFallback) {
   EXPECT_EQ(sharded.StatsSnapshot().shard_scatters, 0u);
 }
 
+// MemBudget reports what the governors enforce: budget/N on each shard,
+// plus the full budget of the fallback once a non-shardable query built it.
+TEST(ShardedEngine, MemBudgetSumsTheShardAndFallbackGovernors) {
+  TransitParams tp;
+  tp.num_passengers = 300;
+  tp.num_days = 1;
+  TransitData transit = GenerateTransit(tp);
+  EngineOptions opts = ShardOpts(4);
+  opts.shard_by = "card-id";
+  // Not a multiple of 4, so the shard slices round down.
+  opts.memory_budget_bytes = (size_t{64} << 20) + 3;
+  const size_t shard_budget = opts.memory_budget_bytes / 4;
+  ShardedEngine sharded(transit.table.get(), transit.hierarchies.get(), opts);
+  EXPECT_EQ(sharded.MemBudget(), 4 * shard_budget);
+
+  CuboidSpec spec;
+  spec.seq.cluster_by = {{"card-id", "fare-group"}};
+  spec.seq.sequence_by = "time";
+  spec.symbols = {"X"};
+  spec.dims = {PatternDim{"X", {"location", "station"}, {}, ""}};
+  ASSERT_FALSE(sharded.Shardable(spec));
+  auto r = sharded.Execute(spec, ExecStrategy::kCounterBased);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(sharded.StatsSnapshot().shard_fallbacks, 1u);
+  EXPECT_EQ(sharded.Monolith()->governor().budget(),
+            opts.memory_budget_bytes);
+  EXPECT_EQ(sharded.MemBudget(),
+            4 * shard_budget + sharded.Monolith()->governor().budget());
+}
+
 // Iceberg pruning is a HAVING over *global* counts: a cell whose per-shard
 // counts all sit below the threshold must still survive when its merged
 // count clears it. The facade therefore strips the iceberg from shard
@@ -330,61 +362,71 @@ TEST(ShardedEngine, IcebergAppliedAfterMergeNotPerShard) {
   ExpectCuboidsIdentical(**expect, **got, "iceberg after merge");
 }
 
-// GatherCompleteIndex: per-shard complete indices, rebased by each shard's
-// block base and unioned through the container machinery, reproduce the
-// index built over the unpartitioned group exactly.
-TEST(ShardedEngine, GatheredCompleteIndexMatchesUnpartitionedBuild) {
-  SyntheticData data = SmallSynthetic();
-  IndexShape shape;
-  shape.positions = {data.Base(), data.Base()};
+// Several clients run scattered WHERE queries — one of them with a matching
+// predicate too — built from one parsed spec, so every shard executor of
+// every client reads the same expression trees at once. Binding must not
+// write into them (the TSan stage of tools/check.sh runs this test), and
+// every client must get the monolith's answer.
+TEST(ShardedEngine, ConcurrentClientsShareOneParsedWhereSpec) {
+  TransitParams tp;
+  tp.num_passengers = 600;
+  tp.num_days = 2;
+  TransitData transit = GenerateTransit(tp);
+  const std::string formation = R"(
+    SELECT COUNT(*) FROM Event
+    WHERE time >= 2007-10-01T06:00 AND time < 2007-10-02T18:00
+    CLUSTER BY card-id AT individual
+    SEQUENCE BY time ASCENDING
+    CUBOID BY SUBSTRING (X, Y)
+      WITH X AS location AT station, Y AS location AT station
+      LEFT-MAXIMALITY (x1, y1))";
+  auto plain = ParseQuery(formation);
+  auto matched = ParseQuery(formation + R"(
+      WITH x1.action = "in" AND y1.action = "out")");
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(matched.ok()) << matched.status().ToString();
+  const CuboidSpec* specs[] = {&*plain, &*matched};
+  const ExecStrategy strategies[] = {ExecStrategy::kCounterBased,
+                                     ExecStrategy::kInvertedIndex};
 
-  // Reference build over a pristine copy of the same (seeded) dataset.
-  SyntheticData ref_data = SmallSynthetic();
-  ScanStats ref_stats;
-  auto ref = BuildIndex(&ref_data.groups->groups()[0], *ref_data.groups,
-                        ref_data.hierarchies.get(), shape, &ref_stats);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-
-  ShardedEngine engine(data.groups, data.hierarchies.get(), ShardOpts(4));
-  auto gathered = engine.GatherCompleteIndex(0, shape);
-  ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
-
-  ASSERT_EQ((*gathered)->num_lists(), (*ref)->num_lists());
-  for (const auto& [key, list] : (*ref)->lists()) {
-    const SidList* got = (*gathered)->Find(key);
-    ASSERT_NE(got, nullptr);
-    std::vector<Sid> want_sids, got_sids;
-    list.ForEach([&](Sid s) { want_sids.push_back(s); });
-    got->ForEach([&](Sid s) { got_sids.push_back(s); });
-    EXPECT_EQ(want_sids, got_sids);
+  SOlapEngine mono(transit.table.get(), transit.hierarchies.get());
+  std::shared_ptr<const SCuboid> expect[2];
+  for (size_t q = 0; q < 2; ++q) {
+    auto r = mono.Execute(*specs[q], ExecStrategy::kCounterBased);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_GT((*r)->num_cells(), 0u);
+    expect[q] = *r;
   }
-}
 
-// Incremental update: appended raw sequences land in the last shard's
-// block; results never depend on sid placement, so the sharded engine
-// keeps matching a monolith that received the same batch.
-TEST(ShardedEngine, AppendRawSequencesStaysConsistent) {
-  SyntheticParams p;
-  p.num_sequences = 800;
-  p.num_symbols = 15;
-  p.mean_length = 7;
-  p.seed = 23;
-  SyntheticData data = GenerateSynthetic(p);
-  SyntheticData mono_data = GenerateSynthetic(p);
-  auto batch = GenerateSyntheticBatch(p, 120, /*batch_seed=*/91);
-
-  ShardedEngine sharded(data.groups, data.hierarchies.get(), ShardOpts(4));
-  SOlapEngine plain(mono_data.groups, mono_data.hierarchies.get());
-  CuboidSpec spec = PairSpec();
-  // Warm both (exercises cache invalidation on append).
-  ASSERT_TRUE(sharded.Execute(spec, ExecStrategy::kCounterBased).ok());
-  ASSERT_TRUE(plain.Execute(spec, ExecStrategy::kCounterBased).ok());
-  ASSERT_TRUE(sharded.AppendRawSequences(0, batch).ok());
-  ASSERT_TRUE(plain.AppendRawSequences(0, batch).ok());
-  auto a = plain.Execute(spec, ExecStrategy::kCounterBased);
-  auto b = sharded.Execute(spec, ExecStrategy::kCounterBased);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectCuboidsIdentical(**a, **b, "post-append");
+  EngineOptions opts = ShardOpts(4);
+  opts.shard_by = "card-id";
+  opts.repository_capacity_bytes = 0;  // every run scatters
+  ShardedEngine sharded(transit.table.get(), transit.hierarchies.get(), opts);
+  constexpr size_t kClients = 4;
+  constexpr size_t kRunsPerClient = 4;
+  std::vector<std::vector<Result<std::shared_ptr<const SCuboid>>>> got(
+      kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t run = 0; run < kRunsPerClient; ++run) {
+        got[c].push_back(sharded.Execute(*specs[(c + run) % 2],
+                                         strategies[run % 2]));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (size_t c = 0; c < kClients; ++c) {
+    for (size_t run = 0; run < kRunsPerClient; ++run) {
+      const auto& r = got[c][run];
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ExpectCuboidsIdentical(*expect[(c + run) % 2], **r,
+                             "client " + std::to_string(c) + " run " +
+                                 std::to_string(run));
+    }
+  }
+  EXPECT_EQ(sharded.StatsSnapshot().shard_scatters,
+            kClients * kRunsPerClient);
 }
 
 // The service front: shard counters flow into the metrics registry.

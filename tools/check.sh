@@ -9,6 +9,9 @@
 # and the streaming write path — concurrent writers + readers + the
 # delta merger against the epoch gate).
 #
+# Benchmark stage: the perfbench/ workloads (explore, scan, ingest) run
+# for one second each from a TSan build; any race report fails the check.
+#
 # Distributed stage: distributed_shard_test spawns real shard_main
 # processes (supervisor + coordinator over loopback HTTP) and runs in
 # tier-1, the ASan full suite, and the TSan filter below; the
@@ -68,6 +71,27 @@ TSAN_FILTER="service_test|service_stress_test|engine_test|parallel_ii_test|shard
 cmake -B build-tsan -S . -DSOLAP_SANITIZE=thread >/dev/null
 build_tests build-tsan "$TSAN_FILTER"
 run_ctest build-tsan "$TSAN_FILTER"
+
+echo
+echo "== TSan: perfbench workload smoke =="
+# perfbench/ is its own CMake project: the root's add_compile_options do not
+# reach its executable, so the sanitizer goes in through the global flags.
+cmake -S perfbench -B build-perfbench-tsan -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
+cmake --build build-perfbench-tsan -j"$JOBS" --target solap_perfbench \
+  >/dev/null
+for workload in explore scan ingest; do
+  log="build-perfbench-tsan/$workload.log"
+  if ! build-perfbench-tsan/solap_perfbench --workload "$workload" \
+      --seed 7 --seconds 1 --trace 0 >"$log" 2>&1 ||
+    grep -q "WARNING: ThreadSanitizer" "$log"; then
+    echo "FAIL: perfbench $workload under TSan (see $log)" >&2
+    grep -A30 "WARNING: ThreadSanitizer" "$log" | head -60 >&2 || true
+    exit 1
+  fi
+  echo "ok: perfbench $workload, no TSan report"
+done
 
 echo
 echo "== failpoints: compiled out of the default build =="
