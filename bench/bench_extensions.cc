@@ -1,22 +1,26 @@
 // Experiment E10 (part 1) — google-benchmark micro-ablations for the §6
 // performance extensions:
-//  - sorted-list intersection vs bitmap AND (the paper's "encode inverted
-//    indices as bitmaps so intersection becomes bitwise-AND" idea);
+//  - the paper's "encode inverted indices as bitmaps so intersection
+//    becomes bitwise-AND" idea, as the container posting lists realize it:
+//    one list pair intersected on sparse lists (array containers) and on
+//    dense lists (bitmap containers), with the container kernel mix per
+//    intersection reported as counters (array / bitmap / run / gallop);
 //  - warm CB query vs warm II query on the synthetic workload (the
 //    steady-state cost once indices exist, with the cuboid repository
 //    disabled so every iteration really executes).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 
 #include "solap/engine/engine.h"
 #include "solap/gen/synthetic.h"
-#include "solap/index/bitmap_index.h"
+#include "solap/index/container.h"
 
 namespace solap {
 namespace {
 
-std::vector<Sid> MakeList(size_t n, size_t universe, uint64_t seed) {
+SidList MakeList(size_t n, size_t universe, uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<Sid> pick(0,
                                           static_cast<Sid>(universe - 1));
@@ -24,47 +28,34 @@ std::vector<Sid> MakeList(size_t n, size_t universe, uint64_t seed) {
   for (Sid& s : out) s = pick(rng);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  return SidList::FromSorted(out);
 }
 
-void BM_ListIntersection(benchmark::State& state) {
+// Arg = list length over a 2^20-sid universe (16 chunks): 2^10 and 2^14
+// leave every chunk an array container, 2^18 turns every chunk into a
+// bitmap, so the same call runs the merge kernels or the word-parallel AND.
+void BM_ContainerIntersection(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t universe = 1 << 20;
-  std::vector<Sid> a = MakeList(n, universe, 1);
-  std::vector<Sid> b = MakeList(n, universe, 2);
+  const SidList a = MakeList(n, universe, 1);
+  const SidList b = MakeList(n, universe, 2);
+  std::vector<Sid> out;
+  ContainerOpCounts ops;
+  IntersectSidLists(a, b, out, &ops);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(IntersectSorted(a, b));
+    IntersectSidLists(a, b, out);
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(a.size() + b.size()));
+  state.counters["array_ops"] = static_cast<double>(ops.array_ops);
+  state.counters["bitmap_ops"] = static_cast<double>(ops.bitmap_ops);
+  state.counters["run_ops"] = static_cast<double>(ops.run_ops);
+  state.counters["gallop_ops"] = static_cast<double>(ops.gallop_ops);
+  state.counters["list_kb"] =
+      static_cast<double>(a.ByteSize() + b.ByteSize()) / 1024.0;
 }
-BENCHMARK(BM_ListIntersection)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_BitmapAnd(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t universe = 1 << 20;
-  Bitmap a = Bitmap::FromSids(MakeList(n, universe, 1), universe);
-  Bitmap b = Bitmap::FromSids(MakeList(n, universe, 2), universe);
-  for (auto _ : state) {
-    Bitmap c = a;
-    c.AndWith(b);
-    benchmark::DoNotOptimize(c.Count());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(universe));
-}
-BENCHMARK(BM_BitmapAnd)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_BitmapEncodeDecode(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t universe = 1 << 20;
-  std::vector<Sid> list = MakeList(n, universe, 3);
-  for (auto _ : state) {
-    Bitmap b = Bitmap::FromSids(list, universe);
-    benchmark::DoNotOptimize(b.ToSids());
-  }
-}
-BENCHMARK(BM_BitmapEncodeDecode)->Arg(1 << 14);
+BENCHMARK(BM_ContainerIntersection)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
 struct WarmEngines {
   WarmEngines() {

@@ -21,9 +21,9 @@ struct ScanStats {
   uint64_t lists_built = 0;
   /// Number of list-intersection operations performed by index joins.
   uint64_t list_intersections = 0;
-  /// Breakdown of `list_intersections` by the kernel chosen per pair
-  /// (index/intersect.h): linear merge / galloping / bitmap probes. The
-  /// scalar baseline (adaptive_join_kernels = false) counts as linear.
+  /// Breakdown of `list_intersections` by the container kernels that ran
+  /// (index/container.h): a pair touching a bitmap container counts as
+  /// bitmap, else one that galloped as galloping, else linear.
   uint64_t intersections_linear = 0;
   uint64_t intersections_galloping = 0;
   uint64_t intersections_bitmap = 0;

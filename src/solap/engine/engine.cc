@@ -484,8 +484,6 @@ ThreadPool* SOlapEngine::ComputePool() {
 
 JoinExecOptions SOlapEngine::JoinExec() {
   JoinExecOptions exec;
-  exec.bitmap_threshold = options_.bitmap_join_threshold;
-  exec.adaptive_kernels = options_.adaptive_join_kernels;
   exec.pool = ComputePool();
   exec.parallel_min_lists = options_.parallel_min_lists;
   exec.parallel_min_work = options_.parallel_min_work;

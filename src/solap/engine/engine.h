@@ -61,10 +61,6 @@ struct EngineOptions {
   /// Disables inverted-index reuse across queries — every II query then
   /// rebuilds from scratch (used by benchmarks to isolate reuse benefits).
   bool enable_index_cache = true;
-  /// §6 bitmap extension: L2 lists longer than this are bitmap-encoded
-  /// during index joins so intersections become membership probes.
-  /// 0 = pure sorted-list merging.
-  size_t bitmap_join_threshold = 0;
   /// Counter-based scans partition each group across this many threads
   /// (per-thread cuboids merged at the end). 1 = sequential.
   size_t cb_threads = 1;
@@ -74,10 +70,6 @@ struct EngineOptions {
   /// created lazily on first use and is distinct from any service-layer
   /// pool, so a service worker blocking in a join can never starve it.
   size_t exec_threads = 1;
-  /// Per-pair intersection kernel selection (galloping / bitmap probes,
-  /// index/intersect.h). false = scalar linear merges everywhere — the
-  /// A/B baseline for bench_ii_kernels.
-  bool adaptive_join_kernels = true;
   /// Joins/merges with fewer lists than this stay serial even when a pool
   /// exists (fan-out overhead would dominate).
   size_t parallel_min_lists = 64;

@@ -1,14 +1,22 @@
 #include "solap/index/container.h"
 
 #include <algorithm>
-
-#include "solap/index/intersect.h"
+#include <utility>
 
 #if defined(SOLAP_X86_DISPATCH)
 #include <immintrin.h>
 #endif
 
 namespace solap {
+
+bool CpuHasSse42() {
+#if defined(SOLAP_X86_DISPATCH)
+  static const bool has = __builtin_cpu_supports("sse4.2");
+  return has;
+#else
+  return false;
+#endif
+}
 
 namespace {
 
@@ -570,6 +578,55 @@ void IntersectSidListsScalar(const SidList& a, const SidList& b,
       out.push_back(va);
       ca.Next();
       cb.Next();
+    }
+  }
+}
+
+void IntersectSegmented(const SidList* a_base, const SidList* a_delta,
+                        const SidList* b_base, const SidList* b_delta,
+                        std::vector<Sid>& out, ContainerOpCounts* counts) {
+  out.clear();
+  // Four pairwise terms, each sorted; the per-index disjointness makes the
+  // final combine a plain k-way merge-dedup of at most four sorted runs.
+  const SidList* as[2] = {a_base, a_delta};
+  const SidList* bs[2] = {b_base, b_delta};
+  std::vector<Sid> terms[4];
+  size_t n_terms = 0;
+  for (const SidList* a : as) {
+    if (a == nullptr || a->size() == 0) continue;
+    for (const SidList* b : bs) {
+      if (b == nullptr || b->size() == 0) continue;
+      std::vector<Sid>& term = terms[n_terms];
+      if (a == a_base && b == b_base) {
+        // The big×big term gets the container kernels; the delta cross
+        // terms are small by construction and a scalar merge wins.
+        IntersectSidLists(*a, *b, term, counts);
+      } else {
+        IntersectSidListsScalar(*a, *b, term);
+      }
+      if (!term.empty()) ++n_terms;
+    }
+  }
+  if (n_terms == 0) return;
+  if (n_terms == 1) {
+    out = std::move(terms[0]);
+    return;
+  }
+  size_t idx[4] = {0, 0, 0, 0};
+  for (;;) {
+    Sid best = 0;
+    bool have = false;
+    for (size_t t = 0; t < n_terms; ++t) {
+      if (idx[t] < terms[t].size() &&
+          (!have || terms[t][idx[t]] < best)) {
+        best = terms[t][idx[t]];
+        have = true;
+      }
+    }
+    if (!have) break;
+    out.push_back(best);
+    for (size_t t = 0; t < n_terms; ++t) {
+      if (idx[t] < terms[t].size() && terms[t][idx[t]] == best) ++idx[t];
     }
   }
 }

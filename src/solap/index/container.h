@@ -8,10 +8,14 @@
 // [start, last] interval pairs. Intersection walks the two container
 // vectors key-aligned — whole 65536-sid chunks present on only one side
 // are skipped without touching their payload — and dispatches a kernel per
-// container pair (SSE4.2 STTNI for array×array, word-parallel AND for
-// bitmap×bitmap, membership probes for mixed pairs). Roll-up union is a
-// k-way merge into a per-chunk bitmap accumulator. Both produce exactly
-// the sid sets of the scalar merge path, which the equivalence tests pin.
+// container pair (SSE4.2 STTNI for balanced array×array, galloping for
+// skewed ones, word-parallel AND for bitmap×bitmap, membership probes for
+// mixed pairs, interval walks when a run participates). This dispatch
+// table is the only intersection-kernel family: index joins, the
+// two-segment delta read path and the benches all go through it. Roll-up
+// union is a k-way merge into a per-chunk bitmap accumulator. Both produce
+// exactly the sid sets of the scalar merge path, which the equivalence
+// tests pin.
 #ifndef SOLAP_INDEX_CONTAINER_H_
 #define SOLAP_INDEX_CONTAINER_H_
 
@@ -31,6 +35,16 @@ inline constexpr uint32_t kContainerSpan = 1u << 16;
 inline constexpr uint32_t kArrayBitmapCrossover = 4096;
 /// 64-bit words in a bitmap container.
 inline constexpr size_t kContainerWords = kContainerSpan / 64;
+/// Cardinality ratio (larger/smaller) from which an array×array pair
+/// gallops instead of merging: the merge reads |a|+|b| lows, galloping
+/// ~|small|·log(|large|/|small|). The comparison is multiplicative
+/// (small·ratio <= large), so e.g. 100 vs 1599 still merges — integer
+/// division used to round 15.99 down and flip balanced pairs.
+inline constexpr size_t kGallopSizeRatio = 16;
+
+/// Runtime check behind the SSE4.2 STTNI array kernel (false off x86 or
+/// without the SOLAP_X86_DISPATCH probe; the scalar merge runs then).
+bool CpuHasSse42();
 
 /// One chunk of a SidList: the sids in [key << 16, (key + 1) << 16).
 struct SidContainer {
@@ -204,10 +218,25 @@ void IntersectSidLists(const SidList& a, const SidList& b,
                        std::vector<Sid>& out,
                        ContainerOpCounts* counts = nullptr);
 
-/// Scalar two-cursor merge baseline (`adaptive_kernels = false` joins and
-/// the equivalence tests measure container kernels against it).
+/// Scalar two-cursor merge: the small delta cross terms of
+/// IntersectSegmented run on it, and the equivalence tests and
+/// bench_ii_kernels measure the container kernels against it.
 void IntersectSidListsScalar(const SidList& a, const SidList& b,
                              std::vector<Sid>& out);
+
+/// out = (a_base ∪ a_delta) ∩ (b_base ∪ b_delta), the streaming-ingestion
+/// read path (docs/INGESTION.md): an index whose delta segment has not yet
+/// been background-merged presents each logical list as base + delta. Any
+/// of the four pointers may be null (treated as the empty list). Within one
+/// index base and delta are disjoint (the watermark invariant), so the
+/// logical sets are plain unions — but the four pairwise intersections are
+/// ALL computed: across two indices of different vintages a sid can sit in
+/// one index's base and the other's delta. Base×base runs the container
+/// kernels (`counts` tallies them, as in IntersectSidLists); the delta
+/// cross terms are small and use the scalar merge.
+void IntersectSegmented(const SidList* a_base, const SidList* a_delta,
+                        const SidList* b_base, const SidList* b_delta,
+                        std::vector<Sid>& out, ContainerOpCounts* counts);
 
 /// K-way union of `inputs` (the P-ROLL-UP merge core): per distinct
 /// container key, single-source containers are copied and multi-source

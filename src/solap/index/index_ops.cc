@@ -9,7 +9,6 @@
 
 #include "solap/common/failpoint.h"
 #include "solap/index/container.h"
-#include "solap/index/intersect.h"
 
 namespace solap {
 
@@ -122,8 +121,7 @@ struct ScratchCharge {
 // (3) merge shard outputs in shard order — output keys embed their base
 // key, so shards never collide and the merged map's insertion order equals
 // the serial path's. Dense chunks are bitmap containers already, so no
-// per-join bitmap encoding pass is needed; `bitmap_threshold` instead
-// forces whole-list membership probing (§6 bitmap extension).
+// per-join bitmap encoding pass is needed.
 Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
     const InvertedIndex& base, const InvertedIndex& l2,
     const PatternTemplate& tmpl, size_t offset, const BoundPattern& bp,
@@ -134,8 +132,7 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
                                    std::to_string(l2.shape().size()));
   }
   SOLAP_FAILPOINT("index.join");
-  // Reserve the join's working set — bitmap encodings, shard outputs, and
-  // the result index are all proportional to the inputs — against the
+  // Reserve the join's working set — shard outputs and the result index are all proportional to the inputs — against the
   // engine budget for the duration of the join. A rejected reservation
   // fails the join with ResourceExhausted and the engine re-executes the
   // query on the counter-based path.
@@ -184,27 +181,20 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
   // Bucket the L2 lists by the code on the shared position. Dense chunks
   // of a SidList are bitmap containers already — the one-time encoding the
   // flat representation needed per join is now part of the index itself.
-  // An L2 list past the explicit `bitmap_threshold` is probed whole (§6).
   struct L2Entry {
     Code grown;
     const SidList* list;   // may be null (delta-only key)
     const SidList* delta;  // null when the key has no unmerged delta
-    bool probe_forced = false;
   };
   std::unordered_map<Code, std::vector<L2Entry>> by_shared;
   l2.ForEachLogicalList([&](const PatternKey& key2, const SidList* list2,
                             const SidList* dlist2) {
     Code shared = grow_right ? key2[0] : key2[1];
     Code grown = grow_right ? key2[1] : key2[0];
-    const size_t logical_size = (list2 != nullptr ? list2->size() : 0) +
-                                (dlist2 != nullptr ? dlist2->size() : 0);
-    const bool probe_forced = exec.bitmap_threshold != 0 &&
-                              logical_size > exec.bitmap_threshold;
-    by_shared[shared].push_back(L2Entry{grown, list2, dlist2, probe_forced});
+    by_shared[shared].push_back(L2Entry{grown, list2, dlist2});
   });
 
   auto out = std::make_shared<InvertedIndex>(out_shape, /*complete=*/false);
-  const bool scalar_only = !exec.adaptive_kernels;
 
   // Intersect+verify every (base list, L2 entry) pair of one partition.
   auto shard_range = [&](size_t begin, size_t end, JoinShardOut& shard) {
@@ -229,45 +219,30 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
           continue;
         }
         // Kernel dispatch happens per container pair inside
-        // IntersectSidLists; the per-pair tally is folded into the legacy
+        // IntersectSidLists; the per-pair tally is folded into the
         // linear/galloping/bitmap counters so EXPLAIN ANALYZE still
         // reports the per-join kernel mix.
+        ContainerOpCounts ops;
         if (bdelta != nullptr || l2e.delta != nullptr || blist == nullptr ||
             l2e.list == nullptr) {
           // Two-segment read path: either side has an unmerged delta, so
-          // all four base/delta cross terms participate (intersect.cc).
-          ContainerOpCounts delta_counts;
+          // all four base/delta cross terms participate.
           IntersectSegmented(blist, bdelta, l2e.list, l2e.delta, candidates,
-                             &delta_counts, scalar_only);
-          shard.stats.container_array_ops += delta_counts.array_ops;
-          shard.stats.container_bitmap_ops += delta_counts.bitmap_ops;
-          shard.stats.container_run_ops += delta_counts.run_ops;
-          shard.stats.container_gallop_ops += delta_counts.gallop_ops;
-          ++shard.stats.intersections_linear;
-        } else if (scalar_only) {
-          IntersectSidListsScalar(*blist, *l2e.list, candidates);
-          ++shard.stats.intersections_linear;
-        } else if (l2e.probe_forced) {
-          candidates.clear();
-          blist->ForEach([&](Sid s) {
-            if (l2e.list->Contains(s)) candidates.push_back(s);
-          });
-          ++shard.stats.intersections_bitmap;
+                             &ops);
         } else {
-          ContainerOpCounts delta;
-          IntersectSidLists(*blist, *l2e.list, candidates, &delta);
-          shard.stats.container_array_ops += delta.array_ops;
-          shard.stats.container_bitmap_ops += delta.bitmap_ops;
-          shard.stats.container_run_ops += delta.run_ops;
-          shard.stats.container_gallop_ops += delta.gallop_ops;
-          if (delta.bitmap_ops > 0) {
-            ++shard.stats.intersections_bitmap;
-          } else if (delta.gallop_ops > 0) {
-            ++shard.stats.intersections_galloping;
-          } else {
-            ++shard.stats.intersections_linear;
-          }
+          IntersectSidLists(*blist, *l2e.list, candidates, &ops);
         }
+        if (ops.bitmap_ops > 0) {
+          ++shard.stats.intersections_bitmap;
+        } else if (ops.gallop_ops > 0) {
+          ++shard.stats.intersections_galloping;
+        } else {
+          ++shard.stats.intersections_linear;
+        }
+        shard.stats.container_array_ops += ops.array_ops;
+        shard.stats.container_bitmap_ops += ops.bitmap_ops;
+        shard.stats.container_run_ops += ops.run_ops;
+        shard.stats.container_gallop_ops += ops.gallop_ops;
         ++shard.stats.list_intersections;
         if (candidates.empty()) continue;
         // "Scan the database to eliminate invalid entries" (Fig. 15 l. 9).

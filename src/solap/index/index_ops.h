@@ -12,7 +12,6 @@
 #include "solap/common/stats.h"
 #include "solap/common/status.h"
 #include "solap/common/thread_pool.h"
-#include "solap/index/intersect.h"
 #include "solap/index/inverted_index.h"
 #include "solap/pattern/matcher.h"
 
@@ -21,16 +20,6 @@ namespace solap {
 /// Execution knobs shared by the index-join operators (see
 /// DESIGN.md "II execution").
 struct JoinExecOptions {
-  /// §6 bitmap extension: an L2 list longer than this is bitmap-encoded
-  /// once per join and intersections against it become membership probes.
-  /// 0 = no explicit cutoff; with `adaptive_kernels` the density heuristic
-  /// still encodes lists covering at least 1/kBitmapDensityDiv of the
-  /// group's sid space.
-  size_t bitmap_threshold = 0;
-  /// Per-pair kernel selection (galloping for skewed pairs, bitmap probes
-  /// for dense L2 lists). false = the scalar linear-merge baseline
-  /// everywhere — benchmarks A/B against this.
-  bool adaptive_kernels = true;
   /// Joins and merges partition their list work across this pool
   /// (nullptr = serial). Partition merge order is deterministic, so
   /// results are identical to the serial path.
@@ -47,7 +36,7 @@ struct JoinExecOptions {
   /// scalar II path. Both cutoffs must pass for a job to go parallel.
   size_t parallel_min_work = size_t{1} << 14;
   /// Engine-wide memory budget. Joins transiently charge an estimate of
-  /// their scratch (bitmap encodings + output lists) before fanning out and
+  /// their scratch (shard outputs + output lists) before fanning out and
   /// release it after the merge; a rejected charge fails the join with
   /// ResourceExhausted, which the engine degrades to the CB path.
   MemoryGovernor* governor = nullptr;
@@ -87,11 +76,10 @@ bool ContainsWindow(const BoundPattern& bp, Sid s, const PatternKey& key,
 ///
 /// Intersections run on the lists' container representation directly
 /// (index/container.h): dense chunks are already bitmap-encoded, so each
-/// container pair dispatches its kernel by kind; an L2 list past
-/// `exec.bitmap_threshold` is force-probed (§6 bitmap extension). Base
-/// lists are partitioned across `exec.pool` (when both parallel cutoffs
-/// pass) with a deterministic merge — the parallel result is identical to
-/// the serial one.
+/// container pair dispatches its kernel by kind. Base lists are
+/// partitioned across `exec.pool` (when both parallel cutoffs pass) with a
+/// deterministic merge — the parallel result is identical to the serial
+/// one.
 Result<std::shared_ptr<InvertedIndex>> JoinExtendRight(
     const InvertedIndex& left, const InvertedIndex& l2,
     const PatternTemplate& tmpl, size_t offset, const BoundPattern& bp,

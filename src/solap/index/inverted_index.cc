@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "solap/index/intersect.h"
-
 namespace solap {
 
 std::string IndexShape::CanonicalString() const {
@@ -76,21 +74,6 @@ const SidList* InvertedIndex::LogicalList(const PatternKey& key,
 void InvertedIndex::NormalizeLists() {
   for (auto& [key, list] : lists_) list.Normalize();
   for (auto& [key, list] : delta_) list.Normalize();
-}
-
-std::vector<Sid> IntersectSorted(const std::vector<Sid>& a,
-                                 const std::vector<Sid>& b) {
-  std::vector<Sid> out;
-  out.reserve(std::min(a.size(), b.size()));
-  IntersectAdaptive(a, b, /*b_bitmap=*/nullptr, out);
-  return out;
-}
-
-std::vector<Sid> IntersectSorted(const SidList& a, const SidList& b) {
-  std::vector<Sid> out;
-  out.reserve(std::min(a.size(), b.size()));
-  IntersectSidLists(a, b, out);
-  return out;
 }
 
 std::vector<Sid> UnionSorted(const std::vector<Sid>& a,

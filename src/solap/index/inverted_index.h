@@ -79,7 +79,7 @@ class InvertedIndex {
   // base containers. Invariant (the per-index watermark): every delta sid is
   // strictly greater than every base sid of the SAME index, because sids
   // only grow and the delta only ever receives newly assigned ones. The
-  // two-segment read path (index_ops.cc, intersect.cc IntersectSegmented)
+  // two-segment read path (index_ops.cc, container.cc IntersectSegmented)
   // treats base ⋈ delta as one logical list. Note the watermark says
   // nothing about sids across two DIFFERENT indices — a freshly built
   // index holds new sids in its base while an older one still has them in
@@ -143,13 +143,6 @@ class InvertedIndex {
   ListMap lists_;
   ListMap delta_;
 };
-
-/// Sorted-vector intersection (linear merge), the core of index joins.
-std::vector<Sid> IntersectSorted(const std::vector<Sid>& a,
-                                 const std::vector<Sid>& b);
-
-/// Container-list intersection with adaptive per-container kernels.
-std::vector<Sid> IntersectSorted(const SidList& a, const SidList& b);
 
 /// Sorted-vector union with deduplication, the core of P-ROLL-UP merging.
 std::vector<Sid> UnionSorted(const std::vector<Sid>& a,

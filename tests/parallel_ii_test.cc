@@ -81,32 +81,28 @@ TEST(ParallelII, JoinsIdenticalToSerial) {
 
 TEST(ParallelII, KernelPoliciesAgree) {
   SyntheticParams p;
-  p.num_sequences = 1500;
-  p.num_symbols = 12;  // dense lists: triggers the bitmap density heuristic
+  p.num_sequences = 10000;
+  p.num_symbols = 5;  // few symbols: pair lists dense enough for bitmaps
   p.mean_length = 12;
-  p.theta = 1.2;       // skewed symbol frequencies: triggers galloping
+  p.theta = 1.2;      // skewed frequencies: sparse array and run lists too
   SyntheticData data = GenerateSynthetic(p);
   CuboidSpec spec = TripleSpec();
 
-  EngineOptions scalar;
-  scalar.adaptive_join_kernels = false;
-  EngineOptions adaptive;  // defaults: adaptive on, serial
-  EngineOptions adaptive_parallel = ParallelOpts();
-  EngineOptions bitmap_forced;
-  bitmap_forced.bitmap_join_threshold = 8;
-
-  SOlapEngine e0(data.groups, data.hierarchies.get(), scalar);
-  SOlapEngine e1(data.groups, data.hierarchies.get(), adaptive);
-  SOlapEngine e2(data.groups, data.hierarchies.get(), adaptive_parallel);
-  SOlapEngine e3(data.groups, data.hierarchies.get(), bitmap_forced);
-  auto r0 = e0.Execute(spec, ExecStrategy::kInvertedIndex);
-  auto r1 = e1.Execute(spec, ExecStrategy::kInvertedIndex);
-  auto r2 = e2.Execute(spec, ExecStrategy::kInvertedIndex);
-  auto r3 = e3.Execute(spec, ExecStrategy::kInvertedIndex);
-  ASSERT_TRUE(r0.ok() && r1.ok() && r2.ok() && r3.ok());
-  ExpectCuboidsIdentical(**r0, **r1, "scalar vs adaptive");
-  ExpectCuboidsIdentical(**r0, **r2, "scalar vs adaptive parallel");
-  ExpectCuboidsIdentical(**r0, **r3, "scalar vs forced bitmap");
+  SOlapEngine cb(data.groups, data.hierarchies.get());
+  SOlapEngine serial(data.groups, data.hierarchies.get());
+  SOlapEngine parallel(data.groups, data.hierarchies.get(), ParallelOpts());
+  auto r0 = cb.Execute(spec, ExecStrategy::kCounterBased);
+  auto r1 = serial.Execute(spec, ExecStrategy::kInvertedIndex);
+  auto r2 = parallel.Execute(spec, ExecStrategy::kInvertedIndex);
+  ASSERT_TRUE(r0.ok() && r1.ok() && r2.ok());
+  ExpectCuboidsIdentical(**r0, **r1, "CB vs serial II");
+  ExpectCuboidsIdentical(**r0, **r2, "CB vs parallel II");
+  // The joins met array, bitmap and run containers, so the agreement
+  // covers more than one row of the container dispatch table.
+  const ScanStats& st = serial.stats();
+  EXPECT_GT(st.container_array_ops, 0u);
+  EXPECT_GT(st.container_bitmap_ops, 0u);
+  EXPECT_GT(st.container_run_ops, 0u);
 }
 
 TEST(ParallelII, RollUpMergeIdenticalToSerial) {

@@ -448,37 +448,6 @@ TEST(ParallelScanProperty, ThreadedCounterBasedEqualsSequential) {
   }
 }
 
-// The §6 bitmap join path must be a pure performance knob: identical
-// cuboids with and without it, for restricted and unrestricted templates.
-TEST(BitmapJoinProperty, BitmapAndListJoinsAgree) {
-  SyntheticParams p;
-  p.num_sequences = 400;
-  p.num_symbols = 15;
-  p.mean_length = 10;
-  SyntheticData data = GenerateSynthetic(p);
-  for (std::vector<std::string> symbols :
-       {std::vector<std::string>{"X", "Y", "Z"},
-        std::vector<std::string>{"X", "Y", "Y", "X"}}) {
-    CuboidSpec spec;
-    spec.symbols = symbols;
-    std::vector<std::string> seen;
-    for (const std::string& sym : symbols) {
-      if (std::find(seen.begin(), seen.end(), sym) != seen.end()) continue;
-      spec.dims.push_back(
-          PatternDim{sym, {SyntheticData::kAttr, "symbol"}, {}, ""});
-      seen.push_back(sym);
-    }
-    EngineOptions with_bitmaps;
-    with_bitmaps.bitmap_join_threshold = 1;  // bitmap every intersection
-    SOlapEngine plain(data.groups, data.hierarchies.get());
-    SOlapEngine bitmapped(data.groups, data.hierarchies.get(), with_bitmaps);
-    auto a = plain.Execute(spec, ExecStrategy::kInvertedIndex);
-    auto b = bitmapped.Execute(spec, ExecStrategy::kInvertedIndex);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ExpectCuboidsEqual(**a, **b, "bitmap join");
-  }
-}
-
 // Subsequence matcher against a brute-force oracle on tiny alphabets.
 TEST(MatcherOracleProperty, SubsequenceCountsMatchBruteForce) {
   std::mt19937_64 rng(7);

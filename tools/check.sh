@@ -67,7 +67,7 @@ run_ctest build-asan
 
 echo
 echo "== TSan: service + engine concurrency tests =="
-TSAN_FILTER="service_test|service_stress_test|engine_test|parallel_ii_test|sharded_engine_test|intersect_test|net_test|distributed_shard_test|ingest_test|ingest_consistency_test"
+TSAN_FILTER="service_test|service_stress_test|engine_test|parallel_ii_test|sharded_engine_test|net_test|distributed_shard_test|ingest_test|ingest_consistency_test"
 cmake -B build-tsan -S . -DSOLAP_SANITIZE=thread >/dev/null
 build_tests build-tsan "$TSAN_FILTER"
 run_ctest build-tsan "$TSAN_FILTER"
