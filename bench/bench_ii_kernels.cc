@@ -341,6 +341,7 @@ void RunShardSweep(bool quick, size_t runs, std::vector<Entry>* entries) {
     for (size_t n : shard_counts) {
       EngineOptions opts;
       opts.shards = n;
+      opts.exec_threads = n;  // one scatter worker per shard
       ShardedEngine engine(data.groups, data.hierarchies.get(), opts);
       double total_ms = 0;
       for (const Measurement& m :
@@ -379,6 +380,7 @@ void RunShardSweep(bool quick, size_t runs, std::vector<Entry>* entries) {
   for (size_t r = 0; r < runs; ++r) {
     EngineOptions opts;
     opts.shards = best_shards;
+    opts.exec_threads = best_shards;
     ShardedEngine traced(data.groups, data.hierarchies.get(), opts);
     TraceContext trace;
     ExecControl control;

@@ -36,15 +36,6 @@ class MemoryGovernor {
   /// underflowing if a caller double-releases.
   void Release(size_t bytes);
 
-  /// True when `bytes` more would still fit (always true with no budget).
-  /// Advisory only — a concurrent charge can still win the race; use
-  /// TryCharge for the authoritative reservation.
-  bool HasHeadroom(size_t bytes) const {
-    const size_t budget = budget_.load(std::memory_order_relaxed);
-    return budget == 0 ||
-           used_.load(std::memory_order_relaxed) + bytes <= budget;
-  }
-
   size_t budget() const { return budget_.load(std::memory_order_relaxed); }
   size_t used() const { return used_.load(std::memory_order_relaxed); }
   uint64_t rejects() const { return rejects_.load(std::memory_order_relaxed); }

@@ -37,11 +37,6 @@ void ThreadPool::Shutdown() {
   }
 }
 
-size_t ThreadPool::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void TaskBatch::Submit(std::function<void()> task) {
   if (pool_ == nullptr) {
     task();

@@ -41,13 +41,10 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Tasks accepted but not yet started (approximate once returned).
-  size_t QueueDepth() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;

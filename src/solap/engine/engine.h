@@ -100,10 +100,6 @@ struct EngineOptions {
   /// immediately instead of waiting for the interval. 0 = kick after every
   /// ingest.
   size_t delta_merge_bytes = size_t{1} << 20;
-  /// Background merge cadence: the merger thread wakes at least this often
-  /// while deltas exist. 0 disables the periodic wake (merges then run only
-  /// when kicked by the byte threshold or MergeDeltasNow).
-  size_t merge_interval_ms = 200;
   /// false = never start the background merger; delta segments then persist
   /// until an explicit MergeDeltasNow() (deterministic tests, benches that
   /// A/B the two-segment read path).
@@ -212,21 +208,25 @@ class SOlapEngine {
   // -- Incremental update (paper §6) ----------------------------------------
 
   /// Raw-group engines: appends new sequences (base-code streams) to group
-  /// `group_idx`, extending every cached complete index of that group with
-  /// the new sequences instead of rebuilding (join-derived filtered indices
-  /// are dropped). Cached cuboids over the data are invalidated.
+  /// `group_idx` under the epoch gate and maintains the caches through the
+  /// same routine as IngestRows: cached complete indices of the group grow
+  /// delta segments (join-derived filtered indices are dropped), patchable
+  /// cached cuboids are delta-patched, the rest are invalidated.
   Status AppendRawSequences(size_t group_idx,
                             const std::vector<std::vector<Code>>& sequences);
 
-  /// Table-backed engines: must be called after rows are appended to the
-  /// event table. Invalidates formed sequence groups, indices and cuboids
-  /// (conservative correctness; see DESIGN.md).
+  /// Table-backed engines whose table was appended to by someone else (the
+  /// sharded facade's fallback shares the facade's table): catches every
+  /// cached formation up to the end of the table exactly as IngestRows
+  /// does after its own append — extended where the new rows only add
+  /// cluster keys, invalidated otherwise — and maintains indices and
+  /// cuboids through the same routine.
   void NotifyTableAppend();
 
   // -- Streaming ingestion (docs/INGESTION.md) -------------------------------
 
-  /// Appends a batch of event rows under the epoch gate and incrementally
-  /// maintains every cached structure: formations whose new rows only
+  /// Appends a batch of event rows under the epoch gate, then catches the
+  /// caches up (NotifyTableAppend's body): formations whose new rows only
   /// introduce NEW cluster keys are extended in place (new sequences append
   /// at the tail, cached complete indices grow delta segments, patchable
   /// cached cuboids are delta-patched); a batch that touches an EXISTING
@@ -390,17 +390,28 @@ class SOlapEngine {
     Sid old_count = 0;  ///< sids >= old_count are the appended tail
   };
   using FormationDeltas =
-      std::unordered_map<const SequenceGroupSet*, std::vector<GroupDelta>>;
+      std::unordered_map<SequenceGroupSet*, std::vector<GroupDelta>>;
+
+  /// Extends every cached formation with the table rows past its
+  /// formed_rows(), or invalidates it (and its index caches) when the
+  /// extension is not pattern-invariant, then runs MaintainCaches. Caller
+  /// holds the exclusive gate.
+  void CatchUpFormations(ScanStats* stats);
 
   /// Attempts the pattern-invariant extension of one cached formation with
-  /// table rows [from_row, num_rows). Returns false when any new row maps
-  /// to an existing cluster key — the caller must invalidate instead. On
-  /// success records the touched groups' deltas and delta-extends their
-  /// cached complete indices.
+  /// table rows [set->formed_rows(), num_rows). Returns false when any new
+  /// row maps to an existing cluster key — the caller must invalidate
+  /// instead. On success records the touched groups' deltas.
   Result<bool> TryExtendFormation(const SequenceSpec& spec,
                                   const std::shared_ptr<SequenceGroupSet>& set,
-                                  RowId from_row, FormationDeltas* deltas,
-                                  ScanStats* stats);
+                                  FormationDeltas* deltas);
+
+  /// The one cache-maintenance step after any append, run by every writer
+  /// under the exclusive gate: for each touched group, drops its symbol
+  /// views and delta-extends its cached complete indices (filtered ones are
+  /// dropped); then patches or invalidates the cuboid repository and kicks
+  /// the background merger.
+  void MaintainCaches(const FormationDeltas& deltas, ScanStats* stats);
 
   /// Walks the cuboid repository after an append: delta-patches entries
   /// whose spec is AppendPatchable and whose formation was extended,
@@ -408,13 +419,16 @@ class SOlapEngine {
   void PatchOrInvalidateCuboids(const FormationDeltas& deltas,
                                 ScanStats* stats);
 
+  /// The formation `s` resolves to if it is already formed (raw engines:
+  /// always raw_groups_), else nullptr.
+  std::shared_ptr<SequenceGroupSet> FormedGroups(const SequenceSpec& s) const;
+
   /// Drops the per-group index caches keyed by `set`'s identity.
   void DropIndexCachesFor(const SequenceGroupSet& set);
 
   /// Lazily starts the background merger (no-op when auto_delta_merge is
-  /// off); kicks it when the delta byte threshold is exceeded.
-  void EnsureMerger();
-  void MaybeKickMerger();
+  /// off) and kicks it when the delta byte threshold is exceeded.
+  void KickMerger();
   void MergerLoop();
   void StopMerger();
 

@@ -1,9 +1,11 @@
-// Streaming ingestion (docs/INGESTION.md): the engine's write path.
+// Streaming ingestion (docs/INGESTION.md) and incremental update (paper
+// §6): the engine's one write path.
 //
-// IngestRows appends a batch of event rows under the exclusive epoch gate
-// and incrementally maintains every cached structure instead of dropping
-// them all (the pre-ingestion NotifyTableAppend behavior, kept for callers
-// that mutate the table directly):
+// Every append — IngestRows (table rows), NotifyTableAppend (rows appended
+// to the table by its owner, e.g. the sharded facade's fallback) and
+// AppendRawSequences (raw sequences) — ends in MaintainCaches under the
+// exclusive epoch gate, which incrementally maintains every cached
+// structure instead of dropping them all:
 //
 //   - formations whose new rows only introduce NEW cluster keys are
 //     extended in place — the new sequences append at the tail of their
@@ -34,6 +36,13 @@
 
 namespace solap {
 
+namespace {
+
+// The background merger wakes at least this often while deltas exist.
+constexpr std::chrono::milliseconds kMergeInterval{200};
+
+}  // namespace
+
 Status SOlapEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
                                TraceContext* trace) {
   if (mutable_table_ == nullptr) {
@@ -47,21 +56,59 @@ Status SOlapEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
     wl.Abandon();
     return Status::OK();
   }
-  const RowId from_row = static_cast<RowId>(mutable_table_->num_rows());
   Status appended = mutable_table_->Append(rows);
   if (!appended.ok()) {
     wl.Abandon();  // validate-first Append left the table untouched
     return appended;
   }
+  // The table rows are committed; maintaining the caches below only costs
+  // cached state on failure, never correctness.
   ScanStats local;
   local.ingested_events = rows.size();
+  CatchUpFormations(&local);
+  span.Count("events", rows.size());
+  span.Count("epoch", wl.committed_epoch());
+  MergeStats(local);
+  return Status::OK();
+}
 
-  // Incrementally maintain (or conservatively invalidate) every cached
-  // formation. The table rows are already committed either way — a failure
-  // below only costs cached state, never correctness.
+void SOlapEngine::NotifyTableAppend() {
+  EpochGate::WriteLock wl(gate_);
+  ScanStats local;
+  CatchUpFormations(&local);
+  MergeStats(local);
+}
+
+Status SOlapEngine::AppendRawSequences(
+    size_t group_idx, const std::vector<std::vector<Code>>& sequences) {
+  if (raw_groups_ == nullptr) {
+    return Status::InvalidArgument(
+        "AppendRawSequences applies to raw-group engines; table-backed "
+        "engines append through IngestRows");
+  }
+  if (group_idx >= raw_groups_->groups().size()) {
+    return Status::OutOfRange("no sequence group " +
+                              std::to_string(group_idx));
+  }
+  EpochGate::WriteLock wl(gate_);
+  if (sequences.empty()) {
+    wl.Abandon();
+    return Status::OK();
+  }
+  SequenceGroup& group = raw_groups_->groups()[group_idx];
+  const Sid old_count = static_cast<Sid>(group.num_sequences());
+  for (const std::vector<Code>& seq : sequences) group.AddSequence(seq);
+  ScanStats local;
+  MaintainCaches({{raw_groups_.get(), {GroupDelta{group_idx, old_count}}}},
+                 &local);
+  MergeStats(local);
+  return Status::OK();
+}
+
+void SOlapEngine::CatchUpFormations(ScanStats* stats) {
   FormationDeltas deltas;
   for (auto& [spec, set] : sequence_cache_.Entries()) {
-    auto extended = TryExtendFormation(spec, set, from_row, &deltas, &local);
+    auto extended = TryExtendFormation(spec, set, &deltas);
     if (extended.ok() && extended.value()) {
       // The set grew in place; re-insert so the governor charge tracks the
       // new ApproxBytes.
@@ -70,45 +117,39 @@ Status SOlapEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
       sequence_cache_.Erase(spec);
       DropIndexCachesFor(*set);
       deltas.erase(set.get());
-      ++local.formation_invalidations;
+      ++stats->formation_invalidations;
     }
   }
-  PatchOrInvalidateCuboids(deltas, &local);
-
-  span.Count("events", rows.size());
-  span.Count("epoch", wl.committed_epoch());
-  MergeStats(local);
-  EnsureMerger();
-  MaybeKickMerger();
-  return Status::OK();
+  MaintainCaches(deltas, stats);
 }
 
 Result<bool> SOlapEngine::TryExtendFormation(
     const SequenceSpec& spec, const std::shared_ptr<SequenceGroupSet>& set,
-    RowId from_row, FormationDeltas* deltas, ScanStats* stats) {
+    FormationDeltas* deltas) {
+  const size_t n_rows = table_->num_rows();
+  const RowId from_row = static_cast<RowId>(set->formed_rows());
+  // Formed after the append (or already caught up): nothing to extend.
+  if (from_row >= n_rows) return true;
+
   // Bind the formation clauses exactly as SequenceQueryEngine::Build
   // does, so extension and rebuild classify rows identically.
   ExprPtr where;
   if (spec.where != nullptr) {
-    SOLAP_ASSIGN_OR_RETURN(where,
-                           spec.where->Bind(mutable_table_->schema(), nullptr));
+    SOLAP_ASSIGN_OR_RETURN(where, spec.where->Bind(table_->schema(), nullptr));
   }
   std::vector<DimensionBinding> cluster_bindings;
   for (const LevelRef& r : spec.cluster_by) {
     SOLAP_ASSIGN_OR_RETURN(
         DimensionBinding b,
-        DimensionBinding::MakeForTable(*mutable_table_, hierarchies_, r));
+        DimensionBinding::MakeForTable(*table_, hierarchies_, r));
     cluster_bindings.push_back(std::move(b));
   }
   SOLAP_ASSIGN_OR_RETURN(int order_col,
-                         mutable_table_->schema().RequireField(spec.sequence_by));
-  const ValueType order_type =
-      mutable_table_->schema().field(order_col).type;
+                         table_->schema().RequireField(spec.sequence_by));
+  const ValueType order_type = table_->schema().field(order_col).type;
   auto order_value = [&](RowId r) -> double {
-    if (order_type == ValueType::kDouble) {
-      return mutable_table_->DoubleAt(r, order_col);
-    }
-    return static_cast<double>(mutable_table_->Int64At(r, order_col));
+    if (order_type == ValueType::kDouble) return table_->DoubleAt(r, order_col);
+    return static_cast<double>(table_->Int64At(r, order_col));
   };
 
   // Every cluster key the formation already holds, read off each
@@ -121,7 +162,7 @@ Result<bool> SOlapEngine::TryExtendFormation(
     for (Sid s = 0; s < n; ++s) {
       const RowId row = group.Rows(s).front();
       for (size_t i = 0; i < cluster_bindings.size(); ++i) {
-        ckey[i] = cluster_bindings[i].CodeOf(*mutable_table_, row);
+        ckey[i] = cluster_bindings[i].CodeOf(*table_, row);
       }
       existing.insert(ckey);
     }
@@ -130,15 +171,14 @@ Result<bool> SOlapEngine::TryExtendFormation(
   // Classify the new rows. Ordered map for deterministic sid assignment,
   // mirroring the fresh-formation path.
   std::map<CellKey, std::vector<RowId>> fresh_clusters;
-  const size_t n_rows = mutable_table_->num_rows();
   CellKey ckey(cluster_bindings.size());
   for (RowId row = from_row; row < n_rows; ++row) {
-    if (!retention_.Keep(*mutable_table_, row)) continue;
-    if (where != nullptr && !where->EvalRow(*mutable_table_, row).AsBool()) {
+    if (!retention_.Keep(*table_, row)) continue;
+    if (where != nullptr && !where->EvalRow(*table_, row).AsBool()) {
       continue;
     }
     for (size_t i = 0; i < cluster_bindings.size(); ++i) {
-      ckey[i] = cluster_bindings[i].CodeOf(*mutable_table_, row);
+      ckey[i] = cluster_bindings[i].CodeOf(*table_, row);
     }
     if (existing.count(ckey) != 0) return false;  // caller invalidates
     fresh_clusters[ckey].push_back(row);
@@ -147,7 +187,7 @@ Result<bool> SOlapEngine::TryExtendFormation(
   // Pattern-invariant extension: all selected rows form brand-new
   // sequences, appended at the tail of their groups.
   const std::vector<DimensionBinding>& gb = set->global_bindings();
-  std::unordered_map<size_t, Sid> old_counts;  // touched group -> old size
+  std::map<size_t, Sid> old_counts;  // touched group -> old size
   CellKey gkey(gb.size());
   for (auto& [key, seq_rows] : fresh_clusters) {
     std::stable_sort(seq_rows.begin(), seq_rows.end(),
@@ -156,7 +196,7 @@ Result<bool> SOlapEngine::TryExtendFormation(
                        return spec.ascending ? va < vb : vb < va;
                      });
     for (size_t i = 0; i < gb.size(); ++i) {
-      gkey[i] = gb[i].CodeOf(*mutable_table_, seq_rows.front());
+      gkey[i] = gb[i].CodeOf(*table_, seq_rows.front());
     }
     SequenceGroup& group = set->GroupFor(gkey);
     // Identify the group by position (GroupFor may have just created it).
@@ -164,38 +204,44 @@ Result<bool> SOlapEngine::TryExtendFormation(
     old_counts.emplace(gi, static_cast<Sid>(group.num_sequences()));
     group.AddSequence(seq_rows);
   }
-
+  set->set_formed_rows(n_rows);
   std::vector<GroupDelta>& group_deltas = (*deltas)[set.get()];
   for (const auto& [gi, old_count] : old_counts) {
-    SequenceGroup& group = set->groups()[gi];
-    group.InvalidateViews();  // views cover the old extent only
     group_deltas.push_back(GroupDelta{gi, old_count});
+  }
+  return true;
+}
 
-    // Delta-extend the group's cached complete indices; join-derived
-    // filtered indices cannot be extended safely and are dropped.
-    const GroupIndexCache* existing_cache = FindIndexCache(*set, gi);
-    if (existing_cache == nullptr) continue;
-    GroupIndexCache& cache = CacheFor(*set, gi);
-    std::vector<std::shared_ptr<InvertedIndex>> keep;
-    for (const auto& entry : cache.entries()) {
-      if (entry->complete()) keep.push_back(entry);
-    }
-    cache.Clear();
-    for (auto& entry : keep) {
-      Status extended =
-          AppendToIndexDelta(entry.get(), &group, *set, hierarchies_,
-                             old_count, stats, &governor_);
-      if (!extended.ok()) return extended;
-      // A budget reject only loses the cached index — the next query
-      // rebuilds it; the extension itself stands.
-      if (!cache.Insert(std::move(entry)).ok()) break;
+void SOlapEngine::MaintainCaches(const FormationDeltas& deltas,
+                                 ScanStats* stats) {
+  for (const auto& [set_ptr, group_deltas] : deltas) {
+    SequenceGroupSet& set = *set_ptr;
+    for (const GroupDelta& d : group_deltas) {
+      SequenceGroup& group = set.groups()[d.group_idx];
+      group.InvalidateViews();  // views cover the old extent only
+      // Delta-extend the group's cached complete indices; join-derived
+      // filtered indices cannot be extended safely and are dropped. A
+      // failed extension or budget reject drops the rest of the group's
+      // cache — the next query rebuilds it; the append itself stands.
+      if (FindIndexCache(set, d.group_idx) == nullptr) continue;
+      GroupIndexCache& cache = CacheFor(set, d.group_idx);
+      std::vector<std::shared_ptr<InvertedIndex>> keep;
+      for (const auto& entry : cache.entries()) {
+        if (entry->complete()) keep.push_back(entry);
+      }
+      cache.Clear();
+      for (auto& entry : keep) {
+        if (!AppendToIndexDelta(entry.get(), &group, set, hierarchies_,
+                                d.old_count, stats, &governor_)
+                 .ok() ||
+            !cache.Insert(std::move(entry)).ok()) {
+          break;
+        }
+      }
     }
   }
-  std::sort(group_deltas.begin(), group_deltas.end(),
-            [](const GroupDelta& a, const GroupDelta& b) {
-              return a.group_idx < b.group_idx;
-            });
-  return true;
+  PatchOrInvalidateCuboids(deltas, stats);
+  KickMerger();
 }
 
 void SOlapEngine::PatchOrInvalidateCuboids(const FormationDeltas& deltas,
@@ -212,7 +258,7 @@ void SOlapEngine::PatchOrInvalidateCuboids(const FormationDeltas& deltas,
       invalidate();
       continue;
     }
-    std::shared_ptr<SequenceGroupSet> set = sequence_cache_.Lookup(e.spec.seq);
+    std::shared_ptr<SequenceGroupSet> set = FormedGroups(e.spec.seq);
     if (set == nullptr) {  // its formation was invalidated above
       invalidate();
       continue;
@@ -367,35 +413,26 @@ SOlapEngine::DeltaStats SOlapEngine::DeltaSnapshot() const {
   return out;
 }
 
-void SOlapEngine::EnsureMerger() {
+void SOlapEngine::KickMerger() {
   if (!options_.auto_delta_merge) return;
+  const bool over_threshold = options_.delta_merge_bytes == 0 ||
+                              DeltaSnapshot().bytes > options_.delta_merge_bytes;
   std::lock_guard<std::mutex> lock(merge_mu_);
-  if (merger_started_) return;
-  merger_started_ = true;
-  merger_ = std::thread([this] { MergerLoop(); });
-}
-
-void SOlapEngine::MaybeKickMerger() {
-  if (!options_.auto_delta_merge) return;
-  if (options_.delta_merge_bytes > 0 &&
-      DeltaSnapshot().bytes <= options_.delta_merge_bytes) {
-    return;
+  if (!merger_started_) {
+    merger_started_ = true;
+    merger_ = std::thread([this] { MergerLoop(); });
   }
-  std::lock_guard<std::mutex> lock(merge_mu_);
-  merge_kick_ = true;
-  merge_cv_.notify_all();
+  if (over_threshold) {
+    merge_kick_ = true;
+    merge_cv_.notify_all();
+  }
 }
 
 void SOlapEngine::MergerLoop() {
   std::unique_lock<std::mutex> lk(merge_mu_);
   while (!merge_stop_) {
-    if (options_.merge_interval_ms > 0) {
-      merge_cv_.wait_for(lk,
-                         std::chrono::milliseconds(options_.merge_interval_ms),
-                         [&] { return merge_stop_ || merge_kick_; });
-    } else {
-      merge_cv_.wait(lk, [&] { return merge_stop_ || merge_kick_; });
-    }
+    merge_cv_.wait_for(lk, kMergeInterval,
+                       [&] { return merge_stop_ || merge_kick_; });
     if (merge_stop_) break;
     merge_kick_ = false;
     lk.unlock();

@@ -147,18 +147,6 @@ void RemoteShardClient::RecordLatency(std::chrono::milliseconds sample) {
   }
 }
 
-Status RemoteShardClient::Health(std::chrono::milliseconds timeout) {
-  auto resp = net::HttpExchange(
-      endpoint_.host, endpoint_.port, "GET", "/healthz", "", {},
-      std::chrono::steady_clock::now() + timeout);
-  if (!resp.ok()) return resp.status();
-  if (resp->status != 200) {
-    return Status::Unavailable("healthz answered " +
-                               std::to_string(resp->status));
-  }
-  return Status::OK();
-}
-
 Result<ShardPartial> RemoteShardClient::AttemptOnce(
     const std::string& body, std::chrono::steady_clock::time_point deadline,
     const StopToken* stop, TraceContext* trace) {

@@ -117,9 +117,6 @@ class RemoteShardClient {
                 const std::vector<DictUpdate>& dicts, const StopToken* stop,
                 TraceContext* trace);
 
-  /// GET /healthz with a private `timeout`. OK iff the server answered 200.
-  Status Health(std::chrono::milliseconds timeout);
-
   /// True for failures worth retrying/hedging: the transport (or the
   /// shard's own transient machinery) failed, rather than the request
   /// being wrong. Exposed for the scatter path's degradation decision.

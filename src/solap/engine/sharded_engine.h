@@ -92,10 +92,12 @@ class ShardedEngine {
   /// sequence (ShardOfCode over the shard-by column's base code) after
   /// synchronizing the shard dictionaries with the facade table's. Each
   /// owning shard then maintains its caches incrementally (delta segments,
-  /// cuboid patches) exactly as a monolithic engine would; the facade's
-  /// merged-cuboid repository is invalidated. With remote scatter enabled,
-  /// the batch is also replicated to the shard servers (POST /shard/append)
-  /// so remote slices stay in sync. Requires the mutable-table constructor.
+  /// cuboid patches) exactly as a monolithic engine would, and so does the
+  /// monolithic fallback if built (SOlapEngine::NotifyTableAppend); the
+  /// facade's merged-cuboid repository is invalidated. With remote scatter
+  /// enabled, the batch is also replicated to the shard servers (POST
+  /// /shard/append) so remote slices stay in sync. Requires the
+  /// mutable-table constructor.
   Status IngestRows(const std::vector<std::vector<Value>>& rows,
                     TraceContext* trace = nullptr);
 
@@ -108,10 +110,10 @@ class ShardedEngine {
   /// executor's epoch so callers see one coherent counter either way.
   uint64_t epoch() const;
 
-  /// Foreground delta merge across every shard.
+  /// Foreground delta merge across every shard (+ fallback).
   Status MergeDeltasNow(TraceContext* trace = nullptr);
 
-  /// Delta-segment footprint summed over all shards.
+  /// Delta-segment footprint summed over all shards (+ fallback).
   SOlapEngine::DeltaStats DeltaSnapshot() const;
 
   // -- Introspection ---------------------------------------------------------

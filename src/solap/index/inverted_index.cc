@@ -1,7 +1,5 @@
 #include "solap/index/inverted_index.h"
 
-#include <algorithm>
-
 namespace solap {
 
 std::string IndexShape::CanonicalString() const {
@@ -60,34 +58,9 @@ void InvertedIndex::MergeDeltaIntoBase() {
   delta_.clear();
 }
 
-const SidList* InvertedIndex::LogicalList(const PatternKey& key,
-                                          SidList* scratch) const {
-  const SidList* base = Find(key);
-  const SidList* delta = FindDelta(key);
-  if (delta == nullptr) return base;
-  if (base == nullptr) return delta;
-  *scratch = *base;
-  delta->ForEach([&](Sid s) { scratch->Append(s); });
-  return scratch;
-}
-
 void InvertedIndex::NormalizeLists() {
   for (auto& [key, list] : lists_) list.Normalize();
   for (auto& [key, list] : delta_) list.Normalize();
-}
-
-std::vector<Sid> UnionSorted(const std::vector<Sid>& a,
-                             const std::vector<Sid>& b) {
-  std::vector<Sid> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-std::vector<Sid> UnionSorted(const SidList& a, const SidList& b) {
-  const SidList* ins[2] = {&a, &b};
-  return UnionManySidLists(ins).ToVector();
 }
 
 }  // namespace solap

@@ -80,26 +80,6 @@ PatternKey PatternTemplate::DimCodesOf(const PatternKey& position_key) const {
   return out;
 }
 
-bool PatternTemplate::ConsistentPrefix(
-    const PatternKey& position_key, size_t prefix_len,
-    const std::vector<std::vector<Code>>& fixed_codes) const {
-  for (size_t pos = 0; pos < prefix_len; ++pos) {
-    int d = dim_of_[pos];
-    // Repeated-symbol equality against the dimension's first position (when
-    // that position is inside the prefix).
-    size_t fp = static_cast<size_t>(first_pos_[d]);
-    if (fp < pos && position_key[pos] != position_key[fp]) return false;
-    if (!fixed_codes[d].empty()) {
-      const std::vector<Code>& allowed = fixed_codes[d];
-      if (std::find(allowed.begin(), allowed.end(), position_key[pos]) ==
-          allowed.end()) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 std::string PatternTemplate::CanonicalString() const {
   std::string out = PatternKindName(kind_);
   out += "(";

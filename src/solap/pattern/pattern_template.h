@@ -105,12 +105,6 @@ class PatternTemplate {
   /// coordinates (reads each dimension's first position).
   PatternKey DimCodesOf(const PatternKey& position_key) const;
 
-  /// True if a per-position key is a valid instantiation considering only
-  /// positions [0, prefix_len): repeated dims equal, fixed dims allowed.
-  /// `fixed_codes[d]` lists the allowed codes of dim d (empty = free).
-  bool ConsistentPrefix(const PatternKey& position_key, size_t prefix_len,
-                        const std::vector<std::vector<Code>>& fixed_codes) const;
-
   /// Canonical text, e.g. "SUBSTRING(X@location@station,Y@...)"; feeds the
   /// cuboid-repository key.
   std::string CanonicalString() const;

@@ -116,6 +116,12 @@ class SequenceGroupSet {
 
   size_t total_sequences() const;
 
+  /// Table rows [0, formed_rows()) this set has been formed from: set by
+  /// formation, advanced by each incremental extension, so a catch-up
+  /// after an append scans only the rows past it (and never twice).
+  size_t formed_rows() const { return formed_rows_; }
+  void set_formed_rows(size_t rows) { formed_rows_ = rows; }
+
   /// Approximate resident footprint of the formed groups (offset and data
   /// arrays; lazily materialized views are excluded as they come and go).
   /// Charged to the engine's MemoryGovernor when the set enters the
@@ -138,6 +144,7 @@ class SequenceGroupSet {
   std::vector<DimensionBinding> global_bindings_;
   std::vector<SequenceGroup> groups_;
   std::unordered_map<CellKey, size_t, CodeVecHash> group_index_;
+  size_t formed_rows_ = 0;
 };
 
 }  // namespace solap

@@ -92,6 +92,7 @@ Result<std::shared_ptr<SequenceGroupSet>> SequenceQueryEngine::Build(
     }
     set->GroupFor(gkey).AddSequence(rows);
   }
+  set->set_formed_rows(n);
   return set;
 }
 

@@ -268,13 +268,5 @@ TEST_F(IndexTest, ByteSizeAndEntriesAccounting) {
   EXPECT_GT(stats_.lists_built, 0u);
 }
 
-// Intersection is covered by container_test's reference fuzz.
-TEST(UnionTest, SortedUnion) {
-  std::vector<Sid> a = {1, 3, 5, 7};
-  std::vector<Sid> b = {3, 4, 5, 8};
-  EXPECT_EQ(UnionSorted(a, b), (std::vector<Sid>{1, 3, 4, 5, 7, 8}));
-  EXPECT_EQ(UnionSorted({}, b), b);
-}
-
 }  // namespace
 }  // namespace solap

@@ -225,9 +225,15 @@ TEST(IncrementalProperty, RepeatedBatchesMatchRebuild) {
   ASSERT_TRUE(engine.Execute(spec, ExecStrategy::kInvertedIndex).ok());
   for (uint64_t batch = 0; batch < 3; ++batch) {
     auto delta = GenerateSyntheticBatch(p, 50, 1000 + batch);
+    const uint64_t patches = engine.stats().cuboid_patches;
     ASSERT_TRUE(engine.AppendRawSequences(0, delta).ok());
+    // The cached COUNT cuboid was patched in place, so the repeat query is
+    // a repository hit on the patched answer.
+    EXPECT_EQ(engine.stats().cuboid_patches, patches + 1);
+    const uint64_t hits = engine.stats().repository_hits;
     auto incremental = engine.Execute(spec, ExecStrategy::kInvertedIndex);
     ASSERT_TRUE(incremental.ok());
+    EXPECT_EQ(engine.stats().repository_hits, hits + 1);
     SOlapEngine fresh(data.groups, data.hierarchies.get());
     auto rebuilt = fresh.Execute(spec, ExecStrategy::kCounterBased);
     ASSERT_TRUE(rebuilt.ok());
