@@ -21,7 +21,8 @@
 // with 1/2/4/8 shards plus a scatter/gather breakdown (report-only).
 //
 // Part 4 — distributed loopback (when built with SOLAP_SHARD_MAIN_PATH):
-// the same sharded query answered by 2 in-process shard executors vs 2
+// the same sharded queries (each over its own WHERE time window, so no
+// cache answers them) answered by 2 in-process shard executors vs 2
 // shard_main child processes over loopback HTTP, pricing the wire path
 // (spec encode -> HTTP -> partial decode) against the function call.
 //
@@ -374,7 +375,7 @@ void RunShardSweep(bool quick, size_t runs, std::vector<Entry>* entries) {
   entries->push_back({"qa/balanced/sharded", best, best_speedup});
 
   // Scatter/gather breakdown: traced queries on fresh engines with the
-  // winning shard count (fresh so the facade repository cannot absorb
+  // winning shard count (fresh so the shard repositories cannot absorb
   // them).
   std::vector<double> scatter_ms, gather_ms;
   for (size_t r = 0; r < runs; ++r) {
@@ -407,12 +408,12 @@ void RunShardSweep(bool quick, size_t runs, std::vector<Entry>* entries) {
 }
 
 
-// Part 4 — distributed loopback: one transit FP-SUM pair query executed
-// repeatedly (coordinator + shard repositories disabled, so every query
-// pays the full scatter) on (a) a 2-shard in-process engine and (b) the
-// same coordinator scattering to 2 shard_main child processes over
-// loopback HTTP. Each query is one sample. Publishes both per-query
-// distributions, the in-process/loopback ratio of medians (as the
+// Part 4 — distributed loopback: a transit FP-SUM pair query executed
+// repeatedly, each time over its own WHERE time window so neither side can
+// answer from a cached formation or cuboid, on (a) a 2-shard in-process
+// engine and (b) the same coordinator scattering to 2 shard_main child
+// processes over loopback HTTP. Each query is one sample. Publishes both
+// per-query distributions, the in-process/loopback ratio of medians (as the
 // "speedup" of dist/loopback — expected < 1: the wire costs something),
 // and the per-query RPC overhead, the difference of the medians. No
 // threshold gates these: loopback latency is too environment-sensitive
@@ -474,7 +475,6 @@ void RunDistributedLoopback(bool quick, std::vector<Entry>* entries) {
   opts.shards = kShards;
   opts.shard_by = "card-id";
   opts.exec_threads = kShards;
-  opts.repository_capacity_bytes = 0;
   ShardedEngine in_process(data.table.get(), data.hierarchies.get(), opts);
   ShardedEngine distributed(data.table.get(), data.hierarchies.get(), opts);
   Status remote = distributed.EnableRemoteScatter(supervisor.endpoints());
@@ -488,13 +488,29 @@ void RunDistributedLoopback(bool quick, std::vector<Entry>* entries) {
   }
 
   const size_t reps = quick ? 10 : 20;
+  // Query r keeps the rows before the data's end minus r minutes: every
+  // window selects the same rows (no trip runs that late), but each one is
+  // a distinct spec. Both sides run the same windows in the same order.
+  const int64_t first_ts = MakeTimestamp(p.start_year, p.start_month,
+                                         p.start_day);
+  const int64_t end_ts = first_ts + static_cast<int64_t>(p.num_days) * 86400;
+  auto windowed = [&](size_t r) {
+    CuboidSpec s = spec;
+    s.seq.where = Expr::And(
+        Expr::Ge(Expr::Col("time"), Expr::Lit(Value::Timestamp(first_ts))),
+        Expr::Lt(Expr::Col("time"),
+                 Expr::Lit(Value::Timestamp(
+                     end_ts - static_cast<int64_t>(r) * 60))));
+    return s;
+  };
   auto time_session = [&](ShardedEngine& engine, Dist* out) -> bool {
     // One warm-up outside the clock (dictionary/page faults, connection
     // establishment on the remote side).
     std::vector<double> v;
     for (size_t r = 0; r <= reps; ++r) {
+      const CuboidSpec query = windowed(r);
       Timer t;
-      auto res = engine.Execute(spec, ExecStrategy::kCounterBased);
+      auto res = engine.Execute(query, ExecStrategy::kCounterBased);
       if (!res.ok()) {
         std::fprintf(stderr, "distributed loopback query failed: %s\n",
                      res.status().ToString().c_str());
@@ -824,11 +840,12 @@ int Main(int argc, char** argv) {
   const std::string provenance = Provenance(quick);
   std::printf("provenance: %s\n", provenance.c_str());
   // Runs per query/session/ingest entry; the cheap kernel pairs and the
-  // per-query loopback samples take more (see their parts).
+  // per-query loopback samples take more (see their parts), and so do the
+  // quick-mode query timings, whose QA1 ratio is gated.
   const size_t runs = quick ? 5 : 7;
   std::vector<Entry> entries;
   RunMicrobenches(quick, &entries);
-  RunQuerysets(quick, runs, &entries);
+  RunQuerysets(quick, quick ? 11 : runs, &entries);
   RunShardSweep(quick, runs, &entries);
 #ifdef SOLAP_SHARD_MAIN_PATH
   RunDistributedLoopback(quick, &entries);

@@ -33,15 +33,15 @@ struct Measurement {
 /// Runs `spec` on `engine` with `strategy`, capturing runtime and the
 /// stats delta; optionally hands back the result cuboid. Exits the process
 /// on engine errors (benches are scripts). Templated on the engine type:
-/// SOlapEngine and ShardedEngine share the Execute/stats surface, so the
-/// shard-count sweep drives the same harness.
+/// SOlapEngine and ShardedEngine share the Execute/StatsSnapshot surface,
+/// so the shard-count sweep drives the same harness.
 template <typename Engine>
 Measurement RunQuery(Engine& engine, const CuboidSpec& spec,
                      ExecStrategy strategy, const std::string& label,
                      std::shared_ptr<const SCuboid>* out = nullptr) {
   Measurement m;
   m.label = label;
-  ScanStats before = engine.stats();
+  const ScanStats before = engine.StatsSnapshot();
   Timer t;
   auto r = engine.Execute(spec, strategy);
   m.runtime_ms = t.ElapsedMs();
@@ -51,10 +51,9 @@ Measurement RunQuery(Engine& engine, const CuboidSpec& spec,
     std::exit(1);
   }
   m.cells = (*r)->num_cells();
-  m.sequences_scanned = engine.stats().sequences_scanned -
-                        before.sequences_scanned;
-  m.index_bytes_built =
-      engine.stats().index_bytes_built - before.index_bytes_built;
+  const ScanStats after = engine.StatsSnapshot();
+  m.sequences_scanned = after.sequences_scanned - before.sequences_scanned;
+  m.index_bytes_built = after.index_bytes_built - before.index_bytes_built;
   if (out != nullptr) *out = *r;
   return m;
 }
@@ -123,7 +122,7 @@ std::vector<Measurement> RunQaSession(Engine& engine, ExecStrategy strategy,
       }
       spec = *appended;
     }
-    ScanStats before = engine.stats();
+    const ScanStats before = engine.StatsSnapshot();
     Timer t;
     auto r = engine.Execute(spec, strategy);
     Measurement m;
@@ -136,10 +135,9 @@ std::vector<Measurement> RunQaSession(Engine& engine, ExecStrategy strategy,
     }
     last = *r;
     m.cells = last->num_cells();
-    m.sequences_scanned =
-        engine.stats().sequences_scanned - before.sequences_scanned;
-    m.index_bytes_built =
-        engine.stats().index_bytes_built - before.index_bytes_built;
+    const ScanStats after = engine.StatsSnapshot();
+    m.sequences_scanned = after.sequences_scanned - before.sequences_scanned;
+    m.index_bytes_built = after.index_bytes_built - before.index_bytes_built;
     out.push_back(m);
   }
   return out;

@@ -11,6 +11,19 @@
 
 namespace solap {
 
+namespace {
+
+// The counters only writers tick: each executor counts its own writes.
+void AddWriteCounters(const ScanStats& from, ScanStats* to) {
+  to->ingested_events += from.ingested_events;
+  to->delta_merges += from.delta_merges;
+  to->cuboid_patches += from.cuboid_patches;
+  to->stale_cuboid_invalidations += from.stale_cuboid_invalidations;
+  to->formation_invalidations += from.formation_invalidations;
+}
+
+}  // namespace
+
 ShardedEngine::ShardedEngine(const EventTable* table,
                              const HierarchyRegistry* hierarchies,
                              EngineOptions options)
@@ -72,14 +85,12 @@ void ShardedEngine::BuildShards() {
   }
 
   // Per-shard executors run serially (the scatter is the parallelism) with
-  // an even split of the memory budget; merged results cache in the facade
-  // repository, so shard-level cuboid caching is off.
+  // an even split of the memory budget and of the cuboid repository: each
+  // shard caches the partials it computes.
   shard_opts.exec_threads = 1;
   shard_opts.cb_threads = 1;
-  shard_opts.repository_capacity_bytes = 0;
+  shard_opts.repository_capacity_bytes = options_.repository_capacity_bytes / n;
   shard_opts.memory_budget_bytes = options_.memory_budget_bytes / n;
-  repository_ =
-      std::make_unique<CuboidRepository>(options_.repository_capacity_bytes);
 
   if (table_ != nullptr) {
     shard_tables_ = table_->PartitionRows(n, [this, n](RowId r) {
@@ -237,7 +248,10 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::Execute(
     return fallback;
   };
   auto result = run();
-  MergeStats(local);
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_ += local;
+  }
   if (control.stats_out != nullptr) *control.stats_out = local;
   return result;
 }
@@ -246,17 +260,6 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::ExecuteScatter(
     const CuboidSpec& spec, ExecStrategy strategy, const ExecControl& control,
     ScanStats* stats) {
   TraceContext* trace = control.trace;
-  const std::string key = spec.CanonicalString();
-  {
-    TraceSpan span(trace, "repo.lookup");
-    if (auto hit = repository_->Lookup(key)) {
-      ++stats->repository_hits;
-      span.Note("result", "hit");
-      return hit;
-    }
-    span.Note("result", "miss");
-  }
-
   // Shards execute without the iceberg restriction: a cell split across
   // shards could fall below the threshold in every partial yet clear it
   // globally, so the restriction only applies to the merged cuboid.
@@ -384,10 +387,7 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::ExecuteScatter(
     if (control.missing_shards != nullptr) {
       *control.missing_shards = missing;
     }
-    // A partial answer must never be served from cache as if complete.
-    return std::shared_ptr<const SCuboid>(merged);
   }
-  repository_->Insert(key, merged);
   return std::shared_ptr<const SCuboid>(merged);
 }
 
@@ -442,11 +442,10 @@ Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
     wl.Abandon();
     return appended;
   }
-  ScanStats local;
-  local.ingested_events = rows.size();
   const size_t n = shards_.size();
   const size_t num_fields = mutable_table_->schema().num_fields();
 
+  size_t routed = 0;  // rows a shard executor committed (and counted)
   auto fan_out = [&]() -> Status {
     // New string values got fresh codes in the facade dictionaries; the
     // shard replicas must assign the identical codes before any shard
@@ -481,6 +480,7 @@ Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
     for (size_t s = 0; s < n; ++s) {
       if (batches[s].empty()) continue;
       SOLAP_RETURN_NOT_OK(shards_[s]->IngestRows(batches[s], trace));
+      routed += batches[s].size();
       // Remote slices must track the local ones or scatters would answer
       // from pre-append data. A failed replication marks the shard
       // degraded: scatters then use the (up-to-date) local executor until
@@ -497,15 +497,19 @@ Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
   if (!fanned.ok()) {
     // The facade table holds the batch but some slice does not — rebuild
     // every slice from the source table so shards and facade agree again.
+    // Totals stay monotone: the retired shards' write counters and the
+    // rows no shard counted move into stats_.
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    for (const SOlapEngine* shard : shards_) {
+      AddWriteCounters(shard->StatsSnapshot(), &stats_);
+    }
+    stats_.ingested_events += rows.size() - routed;
+    ++stats_.formation_invalidations;
     shards_.clear();
     owned_shards_.clear();
     shard_tables_.clear();
     BuildShards();
-    ++local.formation_invalidations;
   }
-  // Merged cuboids span all shards; any append staleness invalidates them.
-  local.stale_cuboid_invalidations += repository_->size();
-  repository_->Clear();
   {
     // The fallback reads the facade table itself: catch its caches up to
     // the new rows through the engine's own write path.
@@ -514,7 +518,6 @@ Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
   }
   span.Count("events", rows.size());
   span.Count("epoch", wl.committed_epoch());
-  MergeStats(local);
   return fanned;
 }
 
@@ -531,7 +534,6 @@ Status ShardedEngine::EvictBefore(const std::string& order_attr,
       SOLAP_RETURN_NOT_OK(fallback_->EvictBefore(order_attr, cutoff));
     }
   }
-  repository_->Clear();
   return Status::OK();
 }
 
@@ -556,14 +558,16 @@ SOlapEngine::DeltaStats ShardedEngine::DeltaSnapshot() const {
   return out;
 }
 
-ScanStats& ShardedEngine::stats() {
-  return shards_.size() == 1 ? shards_[0]->stats() : stats_;
-}
-
 ScanStats ShardedEngine::StatsSnapshot() const {
   if (shards_.size() == 1) return shards_[0]->StatsSnapshot();
   std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  ScanStats total = stats_;
+  for (const SOlapEngine* shard : shards_) {
+    AddWriteCounters(shard->StatsSnapshot(), &total);
+  }
+  std::lock_guard<std::mutex> fallback_lock(fallback_mu_);
+  if (fallback_) AddWriteCounters(fallback_->StatsSnapshot(), &total);
+  return total;
 }
 
 size_t ShardedEngine::IndexCacheBytes() const {

@@ -21,6 +21,10 @@
 //    route to a monolithic fallback engine over the full data, built on
 //    the first such query (or by Monolith(), which EXPLAIN uses) with its
 //    own full memory budget.
+//
+// Cuboids are cached only where they are computed: each shard keeps the
+// partials it produced (repository_capacity_bytes / N); the facade keeps
+// none. A repeat query is N shard repository hits plus one gather.
 #ifndef SOLAP_ENGINE_SHARDED_ENGINE_H_
 #define SOLAP_ENGINE_SHARDED_ENGINE_H_
 
@@ -92,17 +96,16 @@ class ShardedEngine {
   /// sequence (ShardOfCode over the shard-by column's base code) after
   /// synchronizing the shard dictionaries with the facade table's. Each
   /// owning shard then maintains its caches incrementally (delta segments,
-  /// cuboid patches) exactly as a monolithic engine would, and so does the
-  /// monolithic fallback if built (SOlapEngine::NotifyTableAppend); the
-  /// facade's merged-cuboid repository is invalidated. With remote scatter
-  /// enabled, the batch is also replicated to the shard servers (POST
-  /// /shard/append) so remote slices stay in sync. Requires the
-  /// mutable-table constructor.
+  /// patched or invalidated cached partials) exactly as a monolithic engine
+  /// would, and so does the monolithic fallback if built
+  /// (SOlapEngine::NotifyTableAppend). With remote scatter enabled, the
+  /// batch is also replicated to the shard servers (POST /shard/append) so
+  /// remote slices stay in sync. Requires the mutable-table constructor.
   Status IngestRows(const std::vector<std::vector<Value>>& rows,
                     TraceContext* trace = nullptr);
 
-  /// Time-window retention, fanned out to every shard (facade caches are
-  /// invalidated too). See SOlapEngine::EvictBefore.
+  /// Time-window retention, fanned out to every shard (+ fallback). See
+  /// SOlapEngine::EvictBefore.
   Status EvictBefore(const std::string& order_attr, int64_t cutoff);
 
   /// The facade epoch: one gate serializes facade-level writers against
@@ -119,9 +122,8 @@ class ShardedEngine {
   // -- Introspection ---------------------------------------------------------
 
   /// Engine totals. The one-shard shape reports its executor's counters;
-  /// the N-shard shape keeps facade-level totals where each scattered
-  /// query contributes its *merged* per-shard counters once.
-  ScanStats& stats();
+  /// the N-shard shape adds each query's merged per-shard counters once,
+  /// plus the write-side counters the shards and the fallback counted.
   ScanStats StatsSnapshot() const;
   /// Bytes of inverted indices cached across all shards (+ fallback).
   size_t IndexCacheBytes() const;
@@ -177,11 +179,6 @@ class ShardedEngine {
 
   ThreadPool* ScatterPool();
 
-  void MergeStats(const ScanStats& delta) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_ += delta;
-  }
-
   /// Sums `fn` over every executor: the shards, then the fallback if built.
   template <typename Fn>
   size_t SumOverExecutors(Fn fn) const {
@@ -220,12 +217,6 @@ class ShardedEngine {
   std::unique_ptr<SOlapEngine> fallback_;
   mutable std::mutex fallback_mu_;
 
-  // Facade-level cuboid repository: scattered queries cache their merged
-  // result here (shard repositories are disabled), so a repeat query costs
-  // one lookup and counts repository_hits once — same accounting as the
-  // monolithic engine.
-  std::unique_ptr<CuboidRepository> repository_;
-
   // Distributed scatter state (EnableRemoteScatter): one RPC client per
   // shard, a health flag per shard (written by the supervisor thread, read
   // by scatters), and the degradation policy.
@@ -240,6 +231,8 @@ class ShardedEngine {
   bool scatter_pool_created_ = false;
   std::mutex scatter_pool_mu_;
 
+  // Query totals, plus the write counters of shards retired by a rebuild.
+  // stats_mu_ also guards that rebuild against StatsSnapshot.
   ScanStats stats_;
   mutable std::mutex stats_mu_;
 };

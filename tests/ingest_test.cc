@@ -304,6 +304,66 @@ TEST_F(IngestTest, ShardedEvictBeforeAppliesOnEveryShard) {
   EXPECT_EQ((*r)->num_cells(), 0u);
 }
 
+// Cuboids are cached in the shards that compute them: an ingest of new
+// cluster keys patches the owning shard's cached partial (the other
+// shard's stays exact), and the repeat query is two shard repository hits
+// that scan no sequence and still equal a fresh rebuild.
+TEST_F(IngestTest, ShardedCachedCuboidIsPatchedInItsShard) {
+  auto table = Fig8Table();
+  EngineOptions opts = NoAutoMerge();
+  opts.shards = 2;
+  opts.shard_by = "card-id";
+  ShardedEngine engine(table.get(), reg_.get(), opts);
+  ASSERT_TRUE(engine.Execute(SimpleSpec(), ExecStrategy::kCounterBased).ok());
+
+  const int64_t t = MakeTimestamp(2007, 12, 26, 16, 0, 0);
+  ASSERT_TRUE(engine
+                  .IngestRows({Row(t, "9010", "Glenmont", "in", 0.0),
+                               Row(t + 60, "9010", "Wheaton", "out", -2.0),
+                               Row(t + 120, "9011", "Pentagon", "in", 0.0)})
+                  .ok());
+  EXPECT_GT(engine.StatsSnapshot().cuboid_patches, 0u);
+
+  ScanStats repeat;
+  ExecControl control;
+  control.stats_out = &repeat;
+  auto r = engine.Execute(SimpleSpec(), ExecStrategy::kCounterBased, control);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(repeat.repository_hits, 2u);
+  EXPECT_EQ(repeat.sequences_scanned, 0u);
+
+  auto fresh_table = CopyPrefix(*table, table->num_rows());
+  SOlapEngine fresh(fresh_table.get(), reg_.get(), NoAutoMerge());
+  auto f = fresh.Execute(SimpleSpec(), ExecStrategy::kCounterBased);
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ(Canonical(**r), Canonical(**f));
+}
+
+// Write-side counters are counted once, in the shard that did the write,
+// and summed into the facade totals: a service over a sharded engine
+// publishes the shards' delta merges and counts each event once.
+TEST_F(IngestTest, ShardedServicePublishesShardDeltaMerges) {
+  auto table = Fig8Table();
+  EngineOptions opts = NoAutoMerge();
+  opts.shards = 2;
+  opts.shard_by = "card-id";
+  ShardedEngine engine(table.get(), reg_.get(), opts);
+  QueryService service(&engine);
+  // Complete indices on every shard, so the append grows a delta segment.
+  ASSERT_TRUE(
+      engine.Execute(SimpleSpec(), ExecStrategy::kInvertedIndex).ok());
+  const int64_t t = MakeTimestamp(2007, 12, 26, 17, 0, 0);
+  auto ingested = service.Ingest({Row(t, "9012", "Pentagon", "in", 0.0),
+                                  Row(t + 60, "9012", "Clarendon", "out",
+                                      -2.0)});
+  ASSERT_TRUE(ingested.status.ok()) << ingested.status.ToString();
+  ASSERT_GT(engine.DeltaSnapshot().segments, 0u);
+  ASSERT_TRUE(engine.MergeDeltasNow().ok());
+  service.RefreshResourceMetrics();
+  EXPECT_GT(service.metrics().counter("delta_merges")->Value(), 0u);
+  EXPECT_EQ(engine.StatsSnapshot().ingested_events, 2u);
+}
+
 TEST_F(IngestTest, ServiceIngestCountsEventsAndReportsEpoch) {
   QueryService service(&engine_);
   auto result = service.Ingest(

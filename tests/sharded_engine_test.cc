@@ -216,7 +216,10 @@ TEST(ShardedEngine, ScatterEmitsCountersAndTraceSpans) {
   EXPECT_EQ(gathers, 1u);
 }
 
-TEST(ShardedEngine, RepeatQueryHitsFacadeRepository) {
+// Cuboids are cached where they are computed: a repeat query scatters
+// again, every shard serves its partial from its own repository, and only
+// the gather runs.
+TEST(ShardedEngine, RepeatQueryHitsShardRepositories) {
   SyntheticData data = SmallSynthetic();
   ShardedEngine engine(data.groups, data.hierarchies.get(), ShardOpts(4));
   CuboidSpec spec = PairSpec();
@@ -228,10 +231,9 @@ TEST(ShardedEngine, RepeatQueryHitsFacadeRepository) {
   auto second = engine.Execute(spec, ExecStrategy::kCounterBased, control);
   ASSERT_TRUE(second.ok());
   ExpectCuboidsIdentical(**first, **second, "repository repeat");
-  // Served from the facade repository: one hit, no second scatter.
-  EXPECT_EQ(repeat_stats.repository_hits, 1u);
-  EXPECT_EQ(repeat_stats.shard_scatters, 0u);
-  EXPECT_EQ(engine.StatsSnapshot().shard_scatters, 1u);
+  EXPECT_EQ(repeat_stats.repository_hits, 4u);
+  EXPECT_EQ(repeat_stats.sequences_scanned, 0u);
+  EXPECT_EQ(repeat_stats.shard_scatters, 1u);
 }
 
 // Table-backed scatter with a non-summarizable-order measure: COUNT /
@@ -400,7 +402,7 @@ TEST(ShardedEngine, ConcurrentClientsShareOneParsedWhereSpec) {
 
   EngineOptions opts = ShardOpts(4);
   opts.shard_by = "card-id";
-  opts.repository_capacity_bytes = 0;  // every run scatters
+  opts.repository_capacity_bytes = 0;  // no shard answers from cache
   ShardedEngine sharded(transit.table.get(), transit.hierarchies.get(), opts);
   constexpr size_t kClients = 4;
   constexpr size_t kRunsPerClient = 4;
