@@ -33,6 +33,9 @@ std::string ScanStats::ToString() const {
        << " stale_cuboids=" << stale_cuboid_invalidations
        << " stale_formations=" << formation_invalidations << ")";
   }
+  if (formations_derived != 0) {
+    os << " formations_derived=" << formations_derived;
+  }
   return os.str();
 }
 

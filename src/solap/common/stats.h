@@ -71,6 +71,10 @@ struct ScanStats {
   uint64_t cuboid_patches = 0;
   uint64_t stale_cuboid_invalidations = 0;
   uint64_t formation_invalidations = 0;
+  /// Windowed formations derived from the cached formation of their
+  /// unwindowed base instead of built from the table (DESIGN.md "Derived
+  /// formations"); one per shard that derived.
+  uint64_t formations_derived = 0;
 
   void Clear() { *this = ScanStats{}; }
 
@@ -101,6 +105,7 @@ struct ScanStats {
     cuboid_patches += o.cuboid_patches;
     stale_cuboid_invalidations += o.stale_cuboid_invalidations;
     formation_invalidations += o.formation_invalidations;
+    formations_derived += o.formations_derived;
     return *this;
   }
 

@@ -187,6 +187,7 @@ constexpr StatsField kStatsFields[] = {
     {"shard_rpc_retries", &ScanStats::shard_rpc_retries},
     {"shard_rpc_hedges", &ScanStats::shard_rpc_hedges},
     {"partial_answers", &ScanStats::partial_answers},
+    {"formations_derived", &ScanStats::formations_derived},
 };
 
 void AppendStats(std::ostringstream& os, const ScanStats& stats) {

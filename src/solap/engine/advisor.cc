@@ -84,7 +84,7 @@ Result<std::vector<IndexRecommendation>> MaterializationAdvisor::Recommend(
                            engine_->GroupsFor(cand.formation));
     // Skip candidates the engine already holds (first group as proxy).
     if (!groups->groups().empty()) {
-      const GroupIndexCache* cache = engine_->FindIndexCache(*groups, 0);
+      auto cache = engine_->FindIndexCache(*groups, 0);
       if (cache != nullptr && cache->Find(cand.shape, "") != nullptr) {
         continue;
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <new>
+#include <optional>
 #include <thread>
 
 #include "solap/common/failpoint.h"
@@ -21,6 +22,8 @@ SOlapEngine::SOlapEngine(const EventTable* table,
       governor_(options.memory_budget_bytes),
       repository_(options.repository_capacity_bytes) {
   sequence_cache_.set_governor(&governor_);
+  sequence_cache_.set_release_hook(
+      [this](const SequenceGroupSet& set) { DropIndexCachesFor(set.id()); });
   repository_.set_governor(&governor_);
 }
 
@@ -41,6 +44,8 @@ SOlapEngine::SOlapEngine(std::shared_ptr<SequenceGroupSet> raw_groups,
       governor_(options.memory_budget_bytes),
       repository_(options.repository_capacity_bytes) {
   sequence_cache_.set_governor(&governor_);
+  sequence_cache_.set_release_hook(
+      [this](const SequenceGroupSet& set) { DropIndexCachesFor(set.id()); });
   repository_.set_governor(&governor_);
 }
 
@@ -127,7 +132,8 @@ Result<std::shared_ptr<const SCuboid>> SOlapEngine::ExecuteGuarded(
   if (strategy == ExecStrategy::kAuto && !spec.is_regex()) {
     TraceSpan span(trace, "optimize");
     StrategyOptimizer optimizer(this);
-    SOLAP_ASSIGN_OR_RETURN(StrategyChoice choice, optimizer.Choose(spec));
+    SOLAP_ASSIGN_OR_RETURN(StrategyChoice choice,
+                           optimizer.Choose(spec, stats));
     strategy = choice.strategy;
     span.Note("strategy", StrategyName(strategy));
     span.Note("reason", choice.reason);
@@ -147,13 +153,13 @@ Result<std::shared_ptr<const SCuboid>> SOlapEngine::ExecuteGuarded(
   SOLAP_RETURN_NOT_OK(CheckStop(control.stop, "query execution"));
   auto cuboid = std::make_shared<SCuboid>(MakeDimDescriptors(spec), spec.agg);
   TraceSpan prep_span(trace, "prepare");
-  SOLAP_ASSIGN_OR_RETURN(QueryContext ctx, Prepare(spec, cuboid.get()));
+  SOLAP_ASSIGN_OR_RETURN(QueryContext ctx,
+                         Prepare(spec, cuboid.get(), stats, &prep_span));
   if (prep_span.active()) {
     prep_span.Count("groups", ctx.groups->groups().size());
     prep_span.Count("selected_groups", ctx.selected_groups.size());
   }
   prep_span.End();
-  ctx.stats = stats;
   ctx.stop = control.stop;
   ctx.trace = trace;
   if (spec.is_regex()) {
@@ -187,8 +193,7 @@ Result<std::shared_ptr<const SCuboid>> SOlapEngine::ExecuteGuarded(
       // The failed II run may have folded cells already — restart from a
       // fresh cuboid and context.
       cuboid = std::make_shared<SCuboid>(MakeDimDescriptors(spec), spec.agg);
-      SOLAP_ASSIGN_OR_RETURN(ctx, Prepare(spec, cuboid.get()));
-      ctx.stats = stats;
+      SOLAP_ASSIGN_OR_RETURN(ctx, Prepare(spec, cuboid.get(), stats));
       ctx.stop = control.stop;
       ctx.trace = trace;
       SOLAP_RETURN_NOT_OK(RunCounterBased(ctx));
@@ -206,10 +211,13 @@ Result<std::shared_ptr<const SCuboid>> SOlapEngine::ExecuteGuarded(
 }
 
 Result<SOlapEngine::QueryContext> SOlapEngine::Prepare(const CuboidSpec& spec,
-                                                       SCuboid* cuboid) {
+                                                       SCuboid* cuboid,
+                                                       ScanStats* stats,
+                                                       TraceSpan* span) {
   QueryContext ctx;
   ctx.spec = &spec;
   ctx.cuboid = cuboid;
+  ctx.stats = stats;
   if (spec.is_regex()) {
     if (spec.predicate != nullptr) {
       return Status::NotImplemented(
@@ -221,7 +229,7 @@ Result<SOlapEngine::QueryContext> SOlapEngine::Prepare(const CuboidSpec& spec,
   } else {
     SOLAP_ASSIGN_OR_RETURN(ctx.tmpl, spec.MakeTemplate());
   }
-  SOLAP_ASSIGN_OR_RETURN(ctx.groups, GetGroups(spec.seq));
+  SOLAP_ASSIGN_OR_RETURN(ctx.groups, GetGroups(spec.seq, stats, span));
   SOLAP_ASSIGN_OR_RETURN(ctx.selected_groups,
                          SelectGroups(*ctx.groups, spec));
   if (spec.agg != AggKind::kCount) {
@@ -245,18 +253,48 @@ Result<SOlapEngine::QueryContext> SOlapEngine::Prepare(const CuboidSpec& spec,
   return ctx;
 }
 
+Result<std::shared_ptr<SequenceGroupSet>> SOlapEngine::GroupsFor(
+    const SequenceSpec& s, ScanStats* stats) {
+  if (stats != nullptr) return GetGroups(s, stats);
+  ScanStats local;
+  auto groups = GetGroups(s, &local);
+  MergeStats(local);
+  return groups;
+}
+
 Result<std::shared_ptr<SequenceGroupSet>> SOlapEngine::GetGroups(
-    const SequenceSpec& s) {
-  if (auto formed = FormedGroups(s)) return formed;
+    const SequenceSpec& s, ScanStats* stats, TraceSpan* span) {
+  auto note = [&](const char* how) {
+    if (span != nullptr) span->Note("formation", how);
+  };
+  if (auto formed = FormedGroups(s)) {
+    note("hit");
+    return formed;
+  }
   SOLAP_FAILPOINT("engine.formation");
   SequenceQueryEngine sqe(hierarchies_);
   // Fresh formations apply the same retention window incremental extension
   // does, so rebuild-vs-extend answers agree (docs/INGESTION.md).
-  SOLAP_ASSIGN_OR_RETURN(
-      std::shared_ptr<SequenceGroupSet> set,
-      sqe.Build(*table_, s, retention_.col >= 0 ? &retention_ : nullptr));
+  const RowFilter* filter = retention_.col >= 0 ? &retention_ : nullptr;
   // Concurrent builders of the same formation converge on one canonical
-  // set, keeping the per-group index caches (keyed by set identity) shared.
+  // set, keeping the per-group index caches (keyed by set id) shared.
+  if (std::optional<WindowSplit> split = SplitWindow(table_->schema(), s)) {
+    std::shared_ptr<SequenceGroupSet> base =
+        sequence_cache_.Lookup(split->base);
+    if (base == nullptr) {
+      SOLAP_ASSIGN_OR_RETURN(base, sqe.Build(*table_, split->base, filter));
+      base = sequence_cache_.InsertIfAbsent(split->base, std::move(base));
+    }
+    SOLAP_ASSIGN_OR_RETURN(std::shared_ptr<SequenceGroupSet> set,
+                           sqe.Derive(*table_, s, *split, *base));
+    ++stats->formations_derived;
+    note("derived");
+    if (span != nullptr) span->Count("base_sequences", base->total_sequences());
+    return sequence_cache_.InsertIfAbsent(s, std::move(set), &split->base);
+  }
+  SOLAP_ASSIGN_OR_RETURN(std::shared_ptr<SequenceGroupSet> set,
+                         sqe.Build(*table_, s, filter));
+  note("built");
   return sequence_cache_.InsertIfAbsent(s, std::move(set));
 }
 
@@ -356,18 +394,18 @@ Status SOlapEngine::MaterializeIndex(const SequenceSpec& formation,
                                      const IndexShape& shape) {
   EpochGate::ReadLock rl(gate_);
   SOLAP_ASSIGN_OR_RETURN(std::shared_ptr<SequenceGroupSet> groups,
-                         GetGroups(formation));
+                         GroupsFor(formation));
   ScanStats local;
   for (size_t gi = 0; gi < groups->groups().size(); ++gi) {
-    GroupIndexCache& cache = CacheFor(*groups, gi);
-    if (cache.Find(shape, "") != nullptr) continue;
+    std::shared_ptr<GroupIndexCache> cache = CacheFor(*groups, gi);
+    if (cache->Find(shape, "") != nullptr) continue;
     auto built = BuildIndex(&groups->groups()[gi], *groups, hierarchies_,
                             shape, &local, &governor_);
     if (!built.ok()) {
       MergeStats(local);
       return built.status();
     }
-    Status inserted = cache.Insert(*std::move(built));
+    Status inserted = cache->Insert(*std::move(built));
     if (!inserted.ok()) {
       MergeStats(local);
       return inserted;
@@ -379,16 +417,13 @@ Status SOlapEngine::MaterializeIndex(const SequenceSpec& formation,
 
 Status SOlapEngine::WarmSequenceCache(const SequenceSpec& spec) {
   EpochGate::ReadLock rl(gate_);
-  SOLAP_ASSIGN_OR_RETURN(std::shared_ptr<SequenceGroupSet> groups,
-                         GetGroups(spec));
-  (void)groups;
-  return Status::OK();
+  return GroupsFor(spec).status();
 }
 
 size_t SOlapEngine::IndexCacheBytes() const {
   std::lock_guard<std::mutex> lock(index_caches_mu_);
   size_t bytes = 0;
-  for (const auto& [key, cache] : index_caches_) bytes += cache.TotalBytes();
+  for (const auto& [key, cache] : index_caches_) bytes += cache->TotalBytes();
   return bytes;
 }
 
@@ -415,26 +450,28 @@ Result<std::vector<Code>> SOlapEngine::LevelMapFor(
   return h->LevelToLevel(*base_dict, from_level, to_level);
 }
 
-GroupIndexCache& SOlapEngine::CacheFor(const SequenceGroupSet& set,
-                                       size_t group_idx) {
-  std::string key =
-      std::to_string(reinterpret_cast<uintptr_t>(&set)) + ":" +
-      std::to_string(group_idx);
-  // unordered_map references are stable across inserts, so the returned
-  // cache outlives the lock; the cache itself synchronizes internally. The
-  // governor is fixed when the entry is created: a lookup writes nothing.
+std::shared_ptr<GroupIndexCache> SOlapEngine::CacheFor(
+    const SequenceGroupSet& set, size_t group_idx) {
+  // The cache itself synchronizes internally. The governor is fixed when
+  // the entry is created: a lookup writes nothing. The membership check
+  // runs under index_caches_mu_, and a set leaving the sequence cache is
+  // dropped here under the same lock after it left, so no entry for a
+  // released set can outlive that drop.
   std::lock_guard<std::mutex> lock(index_caches_mu_);
-  return index_caches_.try_emplace(key, &governor_).first->second;
+  if (&set != raw_groups_.get() && !sequence_cache_.Holds(set)) {
+    return std::make_shared<GroupIndexCache>(&governor_);
+  }
+  std::shared_ptr<GroupIndexCache>& cache =
+      index_caches_[{set.id(), group_idx}];
+  if (cache == nullptr) cache = std::make_shared<GroupIndexCache>(&governor_);
+  return cache;
 }
 
-const GroupIndexCache* SOlapEngine::FindIndexCache(
+std::shared_ptr<const GroupIndexCache> SOlapEngine::FindIndexCache(
     const SequenceGroupSet& set, size_t group_idx) const {
-  std::string key =
-      std::to_string(reinterpret_cast<uintptr_t>(&set)) + ":" +
-      std::to_string(group_idx);
   std::lock_guard<std::mutex> lock(index_caches_mu_);
-  auto it = index_caches_.find(key);
-  return it == index_caches_.end() ? nullptr : &it->second;
+  auto it = index_caches_.find({set.id(), group_idx});
+  return it == index_caches_.end() ? nullptr : it->second;
 }
 
 ThreadPool* SOlapEngine::ComputePool() {

@@ -6,12 +6,15 @@
 #define SOLAP_ENGINE_ENGINE_H_
 
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "solap/common/epoch.h"
@@ -196,7 +199,8 @@ class SOlapEngine {
   /// Runs S-cuboid formation steps 1-4 for `spec` and stores the result in
   /// the sequence cache. Benchmarks call this so that query timings measure
   /// S-cuboid construction (steps 5-6), matching the paper's architecture
-  /// where formation is offloaded and cached (Fig. 6).
+  /// where formation is offloaded and cached (Fig. 6). A windowed spec
+  /// caches its base formation too (DESIGN.md "Derived formations").
   Status WarmSequenceCache(const SequenceSpec& spec);
 
   /// Builds the complete index of `shape` for every sequence group formed
@@ -292,18 +296,19 @@ class SOlapEngine {
 
   // -- Introspection for the optimizer and tools ----------------------------
 
-  /// The sequence groups `seq` resolves to (cached formation).
-  Result<std::shared_ptr<SequenceGroupSet>> GroupsFor(const SequenceSpec& s) {
-    return GetGroups(s);
-  }
+  /// The sequence groups `seq` resolves to (cached formation). A formation
+  /// derived here counts into `stats`, or into the engine totals when null.
+  Result<std::shared_ptr<SequenceGroupSet>> GroupsFor(
+      const SequenceSpec& s, ScanStats* stats = nullptr);
   /// Ordinals of the groups surviving `spec`'s global slices.
   Result<std::vector<size_t>> SelectedGroupsFor(const SequenceGroupSet& set,
                                                 const CuboidSpec& spec) const {
     return SelectGroups(set, spec);
   }
-  /// The index cache of one group, or nullptr if none exists yet.
-  const GroupIndexCache* FindIndexCache(const SequenceGroupSet& set,
-                                        size_t group_idx) const;
+  /// The index cache of one group, or nullptr if none exists yet. The
+  /// caller's reference keeps it alive even if its set leaves the cache.
+  std::shared_ptr<const GroupIndexCache> FindIndexCache(
+      const SequenceGroupSet& set, size_t group_idx) const;
 
  private:
   /// Everything resolved once per query execution.
@@ -331,13 +336,21 @@ class SOlapEngine {
   Result<std::shared_ptr<const SCuboid>> ExecuteGuarded(
       const CuboidSpec& spec, ExecStrategy strategy,
       const ExecControl& control, ScanStats* stats);
-  Result<QueryContext> Prepare(const CuboidSpec& spec, SCuboid* cuboid);
+  /// Resolves `spec` into a context counting into `stats`; notes how the
+  /// formation was obtained on `span` (the query's `prepare` span) if set.
+  Result<QueryContext> Prepare(const CuboidSpec& spec, SCuboid* cuboid,
+                               ScanStats* stats, TraceSpan* span = nullptr);
   /// Applies human-readable labels to every cell of `cuboid` (shared by the
   /// query finalize step and the ingest-time cuboid patcher).
   static Status LabelCells(SCuboid* cuboid, const SequenceGroupSet& set,
                            const HierarchyRegistry* reg,
                            const std::vector<PatternDim>& dims);
-  Result<std::shared_ptr<SequenceGroupSet>> GetGroups(const SequenceSpec& s);
+  /// The formation of `s`: cached, derived from the cached formation of its
+  /// unwindowed base (DESIGN.md "Derived formations"), or built from the
+  /// table. Counts a derivation into `stats`; notes `formation=hit|derived|
+  /// built` (and `base_sequences` when derived) on `span` if set.
+  Result<std::shared_ptr<SequenceGroupSet>> GetGroups(
+      const SequenceSpec& s, ScanStats* stats, TraceSpan* span = nullptr);
   Result<std::vector<size_t>> SelectGroups(const SequenceGroupSet& set,
                                            const CuboidSpec& spec) const;
   std::vector<DimDescriptor> MakeDimDescriptors(const CuboidSpec& spec) const;
@@ -380,7 +393,11 @@ class SOlapEngine {
                                         const std::string& attr,
                                         int from_level, int to_level) const;
 
-  GroupIndexCache& CacheFor(const SequenceGroupSet& set, size_t group_idx);
+  /// The index cache of one group, created on first use. A set the
+  /// sequence cache does not hold (refused by the governor, or evicted)
+  /// gets a fresh cache that is not kept: nothing could reach it again.
+  std::shared_ptr<GroupIndexCache> CacheFor(const SequenceGroupSet& set,
+                                            size_t group_idx);
 
   // -- Streaming-ingestion internals (engine/ingest.cc) ----------------------
 
@@ -423,8 +440,9 @@ class SOlapEngine {
   /// always raw_groups_), else nullptr.
   std::shared_ptr<SequenceGroupSet> FormedGroups(const SequenceSpec& s) const;
 
-  /// Drops the per-group index caches keyed by `set`'s identity.
-  void DropIndexCachesFor(const SequenceGroupSet& set);
+  /// Drops the per-group index caches of the set with id `set_id`; the
+  /// sequence cache calls it for every set that leaves it.
+  void DropIndexCachesFor(uint64_t set_id);
 
   /// Lazily starts the background merger (no-op when auto_delta_merge is
   /// off) and kicks it when the delta byte threshold is exceeded.
@@ -474,10 +492,12 @@ class SOlapEngine {
   MemoryGovernor governor_;
   SequenceCache sequence_cache_;
   CuboidRepository repository_;
-  // Index caches keyed by (group set, group ordinal). The map itself is
+  // Index caches keyed by (SequenceGroupSet::id(), group ordinal), only for
+  // sets the sequence cache holds (and the raw set). The map itself is
   // guarded by index_caches_mu_; each GroupIndexCache synchronizes
-  // internally (references stay valid across inserts).
-  std::unordered_map<std::string, GroupIndexCache> index_caches_;
+  // internally, and a query holding one keeps it alive after it is dropped.
+  std::map<std::pair<uint64_t, size_t>, std::shared_ptr<GroupIndexCache>>
+      index_caches_;
   mutable std::mutex index_caches_mu_;
   // Shared intra-query compute pool (see EngineOptions::exec_threads).
   std::unique_ptr<ThreadPool> compute_pool_;

@@ -18,9 +18,13 @@ Result<std::shared_ptr<const SCuboid>> SOlapEngine::ExecuteOnline(
   }
   EpochGate::ReadLock rl(gate_);
   auto cuboid = std::make_shared<SCuboid>(MakeDimDescriptors(spec), spec.agg);
-  SOLAP_ASSIGN_OR_RETURN(QueryContext ctx, Prepare(spec, cuboid.get()));
   ScanStats local;
-  ctx.stats = &local;
+  auto prepared = Prepare(spec, cuboid.get(), &local);
+  if (!prepared.ok()) {
+    MergeStats(local);
+    return prepared.status();
+  }
+  QueryContext ctx = *std::move(prepared);
 
   size_t total = 0;
   for (size_t gi : ctx.selected_groups) {

@@ -19,10 +19,11 @@ int LevelIndexOf(const HierarchyRegistry* reg, const LevelRef& ref) {
 
 }  // namespace
 
-Result<StrategyChoice> StrategyOptimizer::Choose(const CuboidSpec& spec) {
+Result<StrategyChoice> StrategyOptimizer::Choose(const CuboidSpec& spec,
+                                                 ScanStats* stats) {
   SOLAP_ASSIGN_OR_RETURN(PatternTemplate tmpl, spec.MakeTemplate());
   SOLAP_ASSIGN_OR_RETURN(std::shared_ptr<SequenceGroupSet> groups,
-                         engine_->GroupsFor(spec.seq));
+                         engine_->GroupsFor(spec.seq, stats));
   SOLAP_ASSIGN_OR_RETURN(std::vector<size_t> selected,
                          engine_->SelectedGroupsFor(*groups, spec));
 
@@ -59,7 +60,8 @@ Result<StrategyChoice> StrategyOptimizer::Choose(const CuboidSpec& spec) {
     const double n = static_cast<double>(group.num_sequences());
     choice.cb_cost += n;
 
-    const GroupIndexCache* cache = engine_->FindIndexCache(*groups, gi);
+    std::shared_ptr<const GroupIndexCache> cache =
+        engine_->FindIndexCache(*groups, gi);
     double build_cost = 0;   // sequences scanned to obtain the final index
     double count_base = n;   // entries the counting step would walk
     bool found = false;

@@ -65,8 +65,10 @@ class StrategyOptimizer {
   explicit StrategyOptimizer(SOlapEngine* engine) : engine_(engine) {}
 
   /// Evaluates `spec`; never executes it. Errors (unresolvable spec)
-  /// surface here exactly as Execute would report them.
-  Result<StrategyChoice> Choose(const CuboidSpec& spec);
+  /// surface here exactly as Execute would report them. Forming the spec's
+  /// sequences counts into `stats` (engine totals when null).
+  Result<StrategyChoice> Choose(const CuboidSpec& spec,
+                                ScanStats* stats = nullptr);
 
  private:
   SOlapEngine* engine_;

@@ -38,10 +38,10 @@ Status SOlapEngine::RunInvertedIndex(QueryContext& ctx) {
         BoundPattern bp_index,
         BoundPattern::Bind(&ctx.tmpl, &group, *ctx.groups, hierarchies_,
                            nullptr, {}));
-    GroupIndexCache& cache = CacheFor(*ctx.groups, gi);
+    std::shared_ptr<GroupIndexCache> cache = CacheFor(*ctx.groups, gi);
     SOLAP_ASSIGN_OR_RETURN(
         std::shared_ptr<InvertedIndex> index,
-        ObtainIndex(cache, group, *ctx.groups, ctx.tmpl, bp_index, ctx.stats,
+        ObtainIndex(*cache, group, *ctx.groups, ctx.tmpl, bp_index, ctx.stats,
                     ctx.stop, ctx.trace));
     TraceSpan count_span(ctx.trace, "ii.count");
     count_span.Count("index_lists", index->lists().size());

@@ -29,6 +29,7 @@ ShardedEngine::ShardedEngine(const EventTable* table,
                              EngineOptions options)
     : table_(table), hierarchies_(hierarchies), options_(std::move(options)) {
   BuildShards();
+  num_shards_ = shards_.size();
 }
 
 ShardedEngine::ShardedEngine(EventTable* table,
@@ -39,6 +40,7 @@ ShardedEngine::ShardedEngine(EventTable* table,
       hierarchies_(hierarchies),
       options_(std::move(options)) {
   BuildShards();
+  num_shards_ = shards_.size();
 }
 
 ShardedEngine::ShardedEngine(std::shared_ptr<SequenceGroupSet> raw_groups,
@@ -48,10 +50,11 @@ ShardedEngine::ShardedEngine(std::shared_ptr<SequenceGroupSet> raw_groups,
       hierarchies_(hierarchies),
       options_(std::move(options)) {
   BuildShards();
+  num_shards_ = shards_.size();
 }
 
 ShardedEngine::ShardedEngine(SOlapEngine* borrowed)
-    : hierarchies_(borrowed->hierarchies()), shards_{borrowed} {}
+    : hierarchies_(borrowed->hierarchies()), shards_{borrowed}, num_shards_(1) {}
 
 ShardedEngine::~ShardedEngine() = default;
 
@@ -141,14 +144,14 @@ ThreadPool* ShardedEngine::ScatterPool() {
     const size_t hw =
         std::max<size_t>(std::thread::hardware_concurrency(), 1);
     size_t t = options_.exec_threads == 0 ? hw : options_.exec_threads;
-    t = std::min(t, shards_.size());
+    t = std::min(t, num_shards_);
     if (t > 1) scatter_pool_ = std::make_unique<ThreadPool>(t);
   }
   return scatter_pool_.get();
 }
 
 SOlapEngine* ShardedEngine::Monolith() {
-  if (shards_.size() == 1) return shards_[0];
+  if (num_shards_ == 1) return shards_[0];
   std::lock_guard<std::mutex> lock(fallback_mu_);
   if (!fallback_) {
     EngineOptions opts = options_;
@@ -164,12 +167,12 @@ SOlapEngine* ShardedEngine::Monolith() {
 Status ShardedEngine::EnableRemoteScatter(
     const std::vector<ShardEndpoint>& endpoints, RemoteShardOptions rpc,
     DegradePolicy policy, bool local_fallback, MetricsRegistry* metrics) {
-  if (shards_.size() == 1 || endpoints.size() != shards_.size()) {
+  if (num_shards_ == 1 || endpoints.size() != num_shards_) {
     return Status::InvalidArgument(
         "remote scatter requires a sharded (shards > 1) engine and one "
         "endpoint per shard: " +
         std::to_string(endpoints.size()) + " endpoints for " +
-        std::to_string(shards_.size()) + " shards");
+        std::to_string(num_shards_) + " shards");
   }
   remote_clients_.clear();
   remote_clients_.reserve(endpoints.size());
@@ -199,7 +202,7 @@ bool ShardedEngine::ShardHealthy(size_t i) const {
 
 bool ShardedEngine::Shardable(const CuboidSpec& spec) const {
   // One shard, or raw mode (the sequence is the unit): always.
-  if (shards_.size() == 1 || table_ == nullptr) return true;
+  if (num_shards_ == 1 || table_ == nullptr) return true;
   for (const LevelRef& ref : spec.seq.cluster_by) {
     if (ref.attr != shard_attr_) continue;
     const ConceptHierarchy* h =
@@ -223,7 +226,7 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::Execute(
 Result<std::shared_ptr<const SCuboid>> ShardedEngine::Execute(
     const CuboidSpec& spec, ExecStrategy strategy,
     const ExecControl& control) {
-  if (shards_.size() == 1) return shards_[0]->Execute(spec, strategy, control);
+  if (num_shards_ == 1) return shards_[0]->Execute(spec, strategy, control);
 
   // Facade snapshot: multi-shard mutations (IngestRows, EvictBefore) hold
   // this gate exclusively, so a scattered execution sees every shard at one
@@ -266,7 +269,7 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::ExecuteScatter(
   CuboidSpec shard_spec = spec;
   shard_spec.iceberg_min_count.reset();
 
-  const size_t n = shards_.size();
+  const size_t n = num_shards_;
   const bool remote = remote_scatter();
   std::vector<std::shared_ptr<const SCuboid>> partials(n);
   std::vector<ScanStats> shard_stats(n);
@@ -398,6 +401,8 @@ Status ShardedEngine::PrecomputeIndex(const CuboidSpec& spec, size_t m,
 }
 
 Status ShardedEngine::WarmSequenceCache(const SequenceSpec& spec) {
+  // Shared gate: a failed ingest's shard rebuild cannot run meanwhile.
+  EpochGate::ReadLock rl(gate_);
   CuboidSpec probe;
   probe.seq = spec;
   if (!Shardable(probe)) return Monolith()->WarmSequenceCache(spec);
@@ -409,6 +414,7 @@ Status ShardedEngine::WarmSequenceCache(const SequenceSpec& spec) {
 
 Status ShardedEngine::MaterializeIndex(const SequenceSpec& formation,
                                        const IndexShape& shape) {
+  EpochGate::ReadLock rl(gate_);
   CuboidSpec probe;
   probe.seq = formation;
   if (!Shardable(probe)) return Monolith()->MaterializeIndex(formation, shape);
@@ -420,7 +426,7 @@ Status ShardedEngine::MaterializeIndex(const SequenceSpec& formation,
 
 Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
                                  TraceContext* trace) {
-  if (shards_.size() == 1) return shards_[0]->IngestRows(rows, trace);
+  if (num_shards_ == 1) return shards_[0]->IngestRows(rows, trace);
   if (mutable_table_ == nullptr) {
     return Status::InvalidArgument(
         "IngestRows requires the mutable-table constructor");
@@ -442,7 +448,7 @@ Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
     wl.Abandon();
     return appended;
   }
-  const size_t n = shards_.size();
+  const size_t n = num_shards_;
   const size_t num_fields = mutable_table_->schema().num_fields();
 
   size_t routed = 0;  // rows a shard executor committed (and counted)
@@ -523,7 +529,7 @@ Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
 
 Status ShardedEngine::EvictBefore(const std::string& order_attr,
                                   int64_t cutoff) {
-  if (shards_.size() == 1) return shards_[0]->EvictBefore(order_attr, cutoff);
+  if (num_shards_ == 1) return shards_[0]->EvictBefore(order_attr, cutoff);
   EpochGate::WriteLock wl(gate_);
   for (SOlapEngine* shard : shards_) {
     SOLAP_RETURN_NOT_OK(shard->EvictBefore(order_attr, cutoff));
@@ -538,12 +544,16 @@ Status ShardedEngine::EvictBefore(const std::string& order_attr,
 }
 
 uint64_t ShardedEngine::epoch() const {
-  return shards_.size() == 1 ? shards_[0]->epoch() : gate_.epoch();
+  return num_shards_ == 1 ? shards_[0]->epoch() : gate_.epoch();
 }
 
 Status ShardedEngine::MergeDeltasNow(TraceContext* trace) {
-  for (SOlapEngine* shard : shards_) {
-    SOLAP_RETURN_NOT_OK(shard->MergeDeltasNow(trace));
+  {
+    // Shared gate: a failed ingest's shard rebuild cannot run meanwhile.
+    EpochGate::ReadLock rl(gate_);
+    for (SOlapEngine* shard : shards_) {
+      SOLAP_RETURN_NOT_OK(shard->MergeDeltasNow(trace));
+    }
   }
   std::lock_guard<std::mutex> lock(fallback_mu_);
   return fallback_ ? fallback_->MergeDeltasNow(trace) : Status::OK();
@@ -559,7 +569,7 @@ SOlapEngine::DeltaStats ShardedEngine::DeltaSnapshot() const {
 }
 
 ScanStats ShardedEngine::StatsSnapshot() const {
-  if (shards_.size() == 1) return shards_[0]->StatsSnapshot();
+  if (num_shards_ == 1) return shards_[0]->StatsSnapshot();
   std::lock_guard<std::mutex> lock(stats_mu_);
   ScanStats total = stats_;
   for (const SOlapEngine* shard : shards_) {

@@ -137,7 +137,7 @@ class ShardedEngine {
   const HierarchyRegistry* hierarchies() const { return hierarchies_; }
   const EngineOptions& options() const { return options_; }
 
-  size_t num_shards() const { return shards_.size(); }
+  size_t num_shards() const { return num_shards_; }
 
   /// The monolithic engine over the full data: in the one-shard shape its
   /// executor; otherwise the lazily-built fallback that answers
@@ -180,11 +180,13 @@ class ShardedEngine {
   ThreadPool* ScatterPool();
 
   /// Sums `fn` over every executor: the shards, then the fallback if built.
+  /// Holds stats_mu_, which a failed ingest's shard rebuild holds too.
   template <typename Fn>
   size_t SumOverExecutors(Fn fn) const {
+    std::lock_guard<std::mutex> lock(stats_mu_);
     size_t total = 0;
     for (const SOlapEngine* shard : shards_) total += fn(*shard);
-    std::lock_guard<std::mutex> lock(fallback_mu_);
+    std::lock_guard<std::mutex> fallback_lock(fallback_mu_);
     if (fallback_) total += fn(*fallback_);
     return total;
   }
@@ -208,10 +210,15 @@ class ShardedEngine {
   // Partitioned table slices, one per shard (N-shard table mode only).
   std::vector<std::unique_ptr<EventTable>> shard_tables_;
 
-  /// The executors every call goes through; shards_.size() is the shape.
-  /// Non-owning: they point into owned_shards_, or at a borrowed engine.
+  /// The executors every call goes through. Non-owning: they point into
+  /// owned_shards_, or at a borrowed engine. A failed ingest fan-out
+  /// rebuilds both under the exclusive gate_ and stats_mu_; walk them
+  /// holding one of those.
   std::vector<SOlapEngine*> shards_;
   std::vector<std::unique_ptr<SOlapEngine>> owned_shards_;
+  /// The shape: shards_.size() at construction, which a rebuild keeps.
+  /// Read without a lock.
+  size_t num_shards_ = 0;
 
   // Lazily-built monolithic fallback (N-shard shape only).
   std::unique_ptr<SOlapEngine> fallback_;

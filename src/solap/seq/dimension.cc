@@ -86,6 +86,20 @@ Code DimensionBinding::CodeOf(const EventTable& table, RowId row) const {
   return MapBaseCode(base);
 }
 
+void DimensionBinding::CodesOf(const EventTable& table,
+                               std::span<const RowId> rows, Code* out) const {
+  if (calendar_ || hierarchy_ == nullptr || level_index_ == 0) {
+    for (size_t i = 0; i < rows.size(); ++i) out[i] = CodeOf(table, rows[i]);
+    return;
+  }
+  const std::vector<Code> level_of =
+      hierarchy_->LevelToLevel(*base_dict_, 0, level_index_);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Code base = table.CodeAt(rows[i], col_);
+    out[i] = base < level_of.size() ? level_of[base] : MapBaseCode(base);
+  }
+}
+
 Code DimensionBinding::MapBaseCode(Code base_code) const {
   if (calendar_ || hierarchy_ == nullptr || level_index_ == 0) {
     return base_code;

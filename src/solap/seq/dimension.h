@@ -3,6 +3,7 @@
 #ifndef SOLAP_SEQ_DIMENSION_H_
 #define SOLAP_SEQ_DIMENSION_H_
 
+#include <span>
 #include <string>
 
 #include "solap/common/status.h"
@@ -50,6 +51,12 @@ class DimensionBinding {
 
   /// Level code of table row `row`. Table-bound bindings only.
   Code CodeOf(const EventTable& table, RowId row) const;
+
+  /// CodeOf for every row of `rows` into `out`, resolving the hierarchy
+  /// mapping once: CodeOf takes the shared hierarchy's lock per row, which
+  /// concurrent shards then contend on.
+  void CodesOf(const EventTable& table, std::span<const RowId> rows,
+               Code* out) const;
 
   /// Maps a base-level code to this binding's level (identity for level 0).
   Code MapBaseCode(Code base_code) const;

@@ -1,5 +1,8 @@
 #include "solap/seq/sequence_group.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace solap {
 
 Sid SequenceGroup::AddSequence(std::span<const uint32_t> items) {
@@ -19,9 +22,7 @@ const std::vector<Code>& SequenceGroup::ViewFor(const DimensionBinding& dim) {
 
   std::vector<Code> view(data_.size());
   if (table_ != nullptr) {
-    for (size_t i = 0; i < data_.size(); ++i) {
-      view[i] = dim.CodeOf(*table_, data_[i]);
-    }
+    dim.CodesOf(*table_, data_, view.data());
   } else {
     // Raw group: data_ holds base codes of the single raw attribute.
     for (size_t i = 0; i < data_.size(); ++i) {
@@ -29,6 +30,31 @@ const std::vector<Code>& SequenceGroup::ViewFor(const DimensionBinding& dim) {
     }
   }
   return views_.emplace(key, std::move(view)).first->second;
+}
+
+std::shared_ptr<const SequenceGroup::EndpointOrder>
+SequenceGroup::EndpointOrderFor(int order_col, bool ascending) {
+  std::lock_guard<std::mutex> lock(*views_mu_);
+  const size_t n = num_sequences();
+  if (endpoint_order_ != nullptr && endpoint_order_->by_first.size() == n) {
+    return endpoint_order_;
+  }
+  auto order = std::make_shared<EndpointOrder>();
+  auto sorted = [&](auto endpoint) {
+    std::vector<std::pair<int64_t, Sid>> keyed(n);
+    for (Sid s = 0; s < n; ++s) {
+      const int64_t v = table_->Int64At(endpoint(s), order_col);
+      keyed[s] = {ascending ? v : ~v, s};  // ~v reverses the order
+    }
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<Sid> sids(n);
+    for (size_t i = 0; i < n; ++i) sids[i] = keyed[i].second;
+    return sids;
+  };
+  order->by_first = sorted([&](Sid s) { return data_[offsets_[s]]; });
+  order->by_last = sorted([&](Sid s) { return data_[offsets_[s + 1] - 1]; });
+  endpoint_order_ = std::move(order);
+  return endpoint_order_;
 }
 
 SequenceGroup& SequenceGroupSet::GroupFor(const CellKey& key) {
@@ -47,8 +73,9 @@ size_t SequenceGroupSet::total_sequences() const {
 }
 
 size_t SequenceGroupSet::ApproxBytes() const {
-  size_t bytes = 0;
+  size_t bytes = sizeof(SequenceGroupSet);
   for (const SequenceGroup& g : groups_) {
+    bytes += sizeof(SequenceGroup);
     bytes += g.offsets().size() * sizeof(uint32_t);
     bytes += g.total_events() * sizeof(uint32_t);
     bytes += g.key().size() * sizeof(Code);

@@ -4,6 +4,7 @@
 #define SOLAP_SEQ_SEQUENCE_QUERY_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,28 @@ struct RowFilter {
   }
 };
 
+/// \brief A spec's WHERE split into a time window on the SEQUENCE BY
+/// attribute and the rest (DESIGN.md "Derived formations").
+///
+/// Every row a window conjunct keeps orders on the side of its literal, so
+/// within one formed sequence the window keeps one contiguous slice: the
+/// windowed formation is the unwindowed one with each sequence sliced.
+struct WindowSplit {
+  /// The spec with only the residual conjuncts as WHERE: the base
+  /// formation every window over it derives from.
+  SequenceSpec base;
+  /// The top-level conjuncts `<sequence_by> {>=,>,<,<=} <literal>`.
+  std::vector<ExprPtr> window;
+};
+
+/// The window split of `spec` over `schema`, or nullopt when its formation
+/// must be built from the table: no window conjunct, a SEQUENCE BY column
+/// that is not int64 or timestamp, or a GROUP BY level that is not also a
+/// CLUSTER BY level (a slice's first row could then carry another group
+/// key than the whole sequence's).
+std::optional<WindowSplit> SplitWindow(const Schema& schema,
+                                       const SequenceSpec& spec);
+
 /// \brief Executes SequenceSpecs against an event table.
 ///
 /// The paper offloads these four steps to "an existing sequence database
@@ -58,6 +81,17 @@ class SequenceQueryEngine {
   Result<std::shared_ptr<SequenceGroupSet>> Build(
       const EventTable& table, const SequenceSpec& spec,
       const RowFilter* filter = nullptr);
+
+  /// The formation of `spec` derived from `base`, the formation of
+  /// split.base over the same table rows: each base sequence is cut to
+  /// the slice the window keeps (found by binary search with the window's
+  /// own EvalRow), empty sequences and groups are dropped, and base sid
+  /// order is kept. From a freshly built base the result equals
+  /// Build(table, spec): same groups in the same order, same sids, rows
+  /// and formed_rows().
+  Result<std::shared_ptr<SequenceGroupSet>> Derive(
+      const EventTable& table, const SequenceSpec& spec,
+      const WindowSplit& split, SequenceGroupSet& base);
 
  private:
   const HierarchyRegistry* hierarchies_;

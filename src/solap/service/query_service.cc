@@ -51,6 +51,7 @@ QueryService::QueryService(ShardedEngine* engine, ServiceOptions options)
       shard_rpc_retries_(metrics_.counter("shard_rpc_retries")),
       shard_rpc_hedges_(metrics_.counter("shard_rpc_hedges")),
       partial_answers_(metrics_.counter("partial_answers")),
+      formations_derived_(metrics_.counter("formations_derived")),
       ingest_events_(metrics_.counter("ingest_events")),
       delta_merges_(metrics_.counter("delta_merges")),
       stale_cuboid_invalidations_(
@@ -248,6 +249,7 @@ void QueryService::Execute(
   shard_rpc_retries_->Inc(resp.stats.shard_rpc_retries);
   shard_rpc_hedges_->Inc(resp.stats.shard_rpc_hedges);
   partial_answers_->Inc(resp.stats.partial_answers);
+  formations_derived_->Inc(resp.stats.formations_derived);
 
   if (result.ok()) {
     resp.cuboid = *std::move(result);

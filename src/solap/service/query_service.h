@@ -255,6 +255,7 @@ class QueryService {
   Counter* shard_rpc_retries_;
   Counter* shard_rpc_hedges_;
   Counter* partial_answers_;
+  Counter* formations_derived_;
   Counter* ingest_events_;
   Counter* delta_merges_;
   Counter* stale_cuboid_invalidations_;

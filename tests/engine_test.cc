@@ -6,9 +6,15 @@
 //    incremental update.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "paper_fixtures.h"
 #include "solap/engine/engine.h"
 #include "solap/engine/operations.h"
+#include "solap/gen/transit.h"
+#include "solap/seq/sequence_query_engine.h"
 
 namespace solap {
 namespace {
@@ -396,6 +402,181 @@ TEST_F(EngineTest, CuboidRenderingHasLabels) {
   auto top = (*r)->TopCells(2);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].second, 2);
+}
+
+// --- Windowed formations and index-cache lifetime -------------------------
+
+void ExpectSameCells(const SCuboid& a, const SCuboid& b,
+                     const std::string& what) {
+  ASSERT_EQ(a.num_cells(), b.num_cells()) << what;
+  for (const auto& [key, cell] : a.cells()) {
+    EXPECT_EQ(b.CellAt(key).count, cell.count) << what;
+    EXPECT_EQ(b.CellAt(key).sum, cell.sum) << what;
+  }
+}
+
+class WindowedEngineTest : public ::testing::Test {
+ protected:
+  WindowedEngineTest() {
+    TransitParams p;
+    p.num_passengers = 400;
+    p.num_days = 4;
+    data_ = GenerateTransit(p);
+  }
+
+  static SequenceSpec Daily() {
+    SequenceSpec s;
+    s.cluster_by = {{"card-id", "individual"}, {"time", "day"}};
+    s.sequence_by = "time";
+    return s;
+  }
+  // Minutes [from, to) after the data's first midnight.
+  static ExprPtr Window(int64_t from, int64_t to) {
+    const int64_t t0 = MakeTimestamp(2007, 10, 1);
+    return Expr::And(
+        Expr::Ge(Expr::Col("time"), Expr::Lit(Value::Timestamp(t0 + from * 60))),
+        Expr::Lt(Expr::Col("time"), Expr::Lit(Value::Timestamp(t0 + to * 60))));
+  }
+  // SUBSTRING (X, Y) at district level, optionally windowed.
+  static CuboidSpec Pairs(ExprPtr where) {
+    CuboidSpec spec;
+    spec.seq = Daily();
+    spec.seq.where = std::move(where);
+    spec.symbols = {"X", "Y"};
+    spec.dims = {PatternDim{"X", {"location", "district"}, {}, ""},
+                 PatternDim{"Y", {"location", "district"}, {}, ""}};
+    return spec;
+  }
+  // The same rows selected without a window conjunct: always built.
+  static CuboidSpec Oracle(const CuboidSpec& spec) {
+    CuboidSpec out = spec;
+    out.seq.where = Expr::Not(Expr::Not(spec.seq.where));
+    return out;
+  }
+  static EngineOptions NoRepository(size_t budget = 0) {
+    EngineOptions o;
+    o.repository_capacity_bytes = 0;
+    o.memory_budget_bytes = budget;
+    return o;
+  }
+  const EventTable* table() const { return data_.table.get(); }
+
+  TransitData data_;
+};
+
+// A formation the governor refuses is handed back uncached; the indices an
+// II query builds on it must go with it, not stay keyed where a later set
+// could pick them up.
+TEST_F(WindowedEngineTest, IndexCacheOfARefusedFormationIsNotKept) {
+  CuboidSpec spec = Pairs(nullptr);
+  spec.symbols = {"X"};
+  spec.dims.pop_back();
+  SequenceQueryEngine sqe(data_.hierarchies.get());
+  const size_t set_bytes = (*sqe.Build(*table(), spec.seq))->ApproxBytes();
+  SOlapEngine unlimited(table(), data_.hierarchies.get(), NoRepository());
+  auto want = unlimited.Execute(spec, ExecStrategy::kInvertedIndex);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  const size_t index_bytes = unlimited.IndexCacheBytes();
+  ASSERT_GT(index_bytes, 0u);
+  ASSERT_LT(index_bytes, set_bytes);  // the index fits where the set does not
+
+  SOlapEngine tight(table(), data_.hierarchies.get(),
+                    NoRepository(set_bytes - 1));
+  for (int round = 0; round < 3; ++round) {
+    ScanStats stats;
+    ExecControl control;
+    control.stats_out = &stats;
+    auto got = tight.Execute(spec, ExecStrategy::kInvertedIndex, control);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(stats.degraded_queries, 0u);
+    EXPECT_GT(stats.lists_built, 0u) << "round " << round;
+    ExpectSameCells(**want, **got, "round " + std::to_string(round));
+    EXPECT_EQ(tight.IndexCacheBytes(), 0u) << "round " << round;
+    EXPECT_EQ(tight.governor().used(), 0u) << "round " << round;
+  }
+}
+
+// Day windows each hold about a quarter of the base, so the fourth one
+// evicts the least recently used: every query of the cycle re-derives an
+// evicted window. Answers stay identical, and the cached indices do not
+// pile up with the evicted sets.
+TEST_F(WindowedEngineTest, EvictedWindowsRequeryBitIdentically) {
+  SOlapEngine engine(table(), data_.hierarchies.get(), NoRepository());
+  SOlapEngine fresh(table(), data_.hierarchies.get(), NoRepository());
+  std::vector<CuboidSpec> days;
+  std::vector<std::shared_ptr<const SCuboid>> want;
+  for (int d = 0; d < 4; ++d) {
+    days.push_back(Pairs(Window(d * 1440, (d + 1) * 1440)));
+    auto r = fresh.Execute(Oracle(days.back()), ExecStrategy::kInvertedIndex);
+    ASSERT_TRUE(r.ok());
+    want.push_back(*r);
+  }
+  size_t steady_bytes = 0;
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    for (int d = 0; d < 4; ++d) {
+      ScanStats stats;
+      ExecControl control;
+      control.stats_out = &stats;
+      auto got =
+          engine.Execute(days[d], ExecStrategy::kInvertedIndex, control);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::string what =
+          "cycle " + std::to_string(cycle) + " day " + std::to_string(d);
+      ExpectSameCells(*want[d], **got, what);
+      EXPECT_EQ(stats.formations_derived, 1u) << what;
+    }
+    if (cycle == 0) steady_bytes = engine.IndexCacheBytes();
+    EXPECT_GT(steady_bytes, 0u);
+    EXPECT_EQ(engine.IndexCacheBytes(), steady_bytes) << "cycle " << cycle;
+  }
+}
+
+// Several clients query distinct windows of one base at once while the
+// bound and a tight budget keep evicting derived sets under them.
+TEST_F(WindowedEngineTest, ConcurrentWindowsShareOneBaseWhileEvicting) {
+  constexpr int kThreads = 4;
+  constexpr int kWindows = 10;
+  SequenceQueryEngine sqe(data_.hierarchies.get());
+  const size_t base_bytes = (*sqe.Build(*table(), Daily()))->ApproxBytes();
+  SOlapEngine fresh(table(), data_.hierarchies.get(), NoRepository());
+  std::vector<std::vector<CuboidSpec>> specs(kThreads);
+  std::vector<std::vector<std::shared_ptr<const SCuboid>>> want(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int w = 0; w < kWindows; ++w) {
+      const int64_t from = (t * kWindows + w) * 97;
+      specs[t].push_back(Pairs(Window(from, from + 1440 + 60 * w)));
+      auto r = fresh.Execute(Oracle(specs[t].back()),
+                             ExecStrategy::kCounterBased);
+      ASSERT_TRUE(r.ok());
+      want[t].push_back(*r);
+    }
+  }
+
+  SOlapEngine engine(table(), data_.hierarchies.get(),
+                     NoRepository(3 * base_bytes));
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int round = 0; round < 2; ++round) {
+        for (int w = 0; w < kWindows; ++w) {
+          const ExecStrategy strategy = (w + round) % 2 == 0
+                                            ? ExecStrategy::kCounterBased
+                                            : ExecStrategy::kInvertedIndex;
+          auto got = engine.Execute(specs[t][w], strategy);
+          if (!got.ok()) {
+            ADD_FAILURE() << got.status().ToString();
+            return;
+          }
+          ExpectSameCells(*want[t][w], **got,
+                          "client " + std::to_string(t) + " window " +
+                              std::to_string(w));
+        }
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  EXPECT_GT(engine.StatsSnapshot().formations_derived,
+            static_cast<uint64_t>(kThreads * kWindows));
 }
 
 }  // namespace

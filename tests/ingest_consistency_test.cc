@@ -286,5 +286,95 @@ TEST(IngestConsistencyTest, ShardedFallbackBitIdenticalPerEpoch) {
   EXPECT_GT(engine.Monolith()->StatsSnapshot().cuboid_patches, 0u);
 }
 
+// A windowed spec takes the derived-formation path (DESIGN.md "Derived
+// formations"): its formation is sliced out of the cached unwindowed base,
+// and both are ordinary cache entries the appends extend or invalidate.
+// The window starts inside card 688's Fig. 8 rows and ends between the
+// two writers' time ranges, so batches bring new keys inside the window
+// (writer 0), new keys outside it (writer 1), and rows for the existing key
+// 688 both inside (writer 0) and outside (writer 1).
+CuboidSpec WindowedSpec() {
+  CuboidSpec s = SimpleSpec();
+  s.seq.where = Expr::And(
+      Expr::Ge(Expr::Col("time"),
+               Expr::Lit(Value::Timestamp(MakeTimestamp(2007, 12, 25, 8, 3)))),
+      Expr::Lt(Expr::Col("time"),
+               Expr::Lit(Value::Timestamp(MakeTimestamp(2007, 12, 27)))));
+  return s;
+}
+
+TEST(IngestConsistencyTest, WindowedFormationBitIdenticalPerEpoch) {
+  auto table = Fig8Table();
+  auto reg = Fig8Hierarchies();
+  SOlapEngine engine(table.get(), reg.get(), BaseOptions());
+  const size_t base_rows = table->num_rows();
+  // Cache the windowed formation (and its base) and its cuboid first.
+  ScanStats first;
+  ExecControl control;
+  control.stats_out = &first;
+  ASSERT_TRUE(
+      engine.Execute(WindowedSpec(), ExecStrategy::kCounterBased, control)
+          .ok());
+  ASSERT_EQ(first.formations_derived, 1u);
+
+  Harness h;
+  h.execute = [&](uint64_t* epoch_out) -> Result<std::string> {
+    ExecControl c;
+    c.epoch_out = epoch_out;
+    SOLAP_ASSIGN_OR_RETURN(
+        auto cuboid, engine.Execute(WindowedSpec(), ExecStrategy::kAuto, c));
+    return Canonical(*cuboid);
+  };
+  h.ingest = [&](const std::vector<std::vector<Value>>& rows) {
+    return engine.IngestRows(rows);
+  };
+  h.merge = [&] { return engine.MergeDeltasNow(); };
+  h.rebuild = [&](size_t rows) {
+    auto fresh_table = CopyPrefix(*table, rows);
+    SOlapEngine fresh(fresh_table.get(), reg.get(), BaseOptions());
+    CuboidSpec oracle = WindowedSpec();
+    oracle.seq.where = Expr::Not(Expr::Not(oracle.seq.where));
+    auto r = fresh.Execute(oracle, ExecStrategy::kAuto);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? Canonical(**r) : std::string();
+  };
+  h.Run(base_rows);
+}
+
+TEST(IngestConsistencyTest, ShardedWindowedFormationBitIdenticalPerEpoch) {
+  auto table = Fig8Table();
+  auto reg = Fig8Hierarchies();
+  EngineOptions opts = BaseOptions();
+  opts.shards = 2;
+  opts.shard_by = "card-id";
+  ShardedEngine engine(table.get(), reg.get(), opts);
+  const size_t base_rows = table->num_rows();
+  ASSERT_TRUE(engine.Execute(WindowedSpec(), ExecStrategy::kAuto).ok());
+
+  Harness h;
+  h.execute = [&](uint64_t* epoch_out) -> Result<std::string> {
+    ExecControl c;
+    c.epoch_out = epoch_out;
+    SOLAP_ASSIGN_OR_RETURN(
+        auto cuboid, engine.Execute(WindowedSpec(), ExecStrategy::kAuto, c));
+    return Canonical(*cuboid);
+  };
+  h.ingest = [&](const std::vector<std::vector<Value>>& rows) {
+    return engine.IngestRows(rows);
+  };
+  h.merge = [&] { return engine.MergeDeltasNow(); };
+  h.rebuild = [&](size_t rows) {
+    auto fresh_table = CopyPrefix(*table, rows);
+    ShardedEngine fresh(fresh_table.get(), reg.get(), opts);
+    CuboidSpec oracle = WindowedSpec();
+    oracle.seq.where = Expr::Not(Expr::Not(oracle.seq.where));
+    auto r = fresh.Execute(oracle, ExecStrategy::kAuto);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? Canonical(**r) : std::string();
+  };
+  h.Run(base_rows);
+  EXPECT_GT(engine.StatsSnapshot().formations_derived, 0u);
+}
+
 }  // namespace
 }  // namespace solap

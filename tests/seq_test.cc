@@ -2,7 +2,11 @@
 // the formation pipeline (steps 1-4 of S-cuboid construction), and caching.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "paper_fixtures.h"
+#include "solap/common/mem_budget.h"
+#include "solap/gen/transit.h"
 #include "solap/seq/sequence_cache.h"
 #include "solap/seq/sequence_query_engine.h"
 
@@ -201,13 +205,287 @@ TEST_F(FormationTest, SequenceCacheRoundTrip) {
   SequenceQueryEngine sqe(reg_.get());
   auto set = sqe.Build(*table_, spec);
   ASSERT_TRUE(set.ok());
-  cache.Insert(spec, *set);
+  cache.InsertIfAbsent(spec, *set);
   EXPECT_EQ(cache.Lookup(spec), *set);
   SequenceSpec other = BaseSpec();
   other.ascending = false;
   EXPECT_EQ(cache.Lookup(other), nullptr);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// --- Derived formations (DESIGN.md "Derived formations") -----------------
+
+// Fig. 8 rows are one minute apart from 08:00 in card order: 688 holds
+// minutes 0-5, 23456 6-9, 1012 10-11 and 77 12-15.
+int64_t Minute(int m) { return MakeTimestamp(2007, 12, 25, 8, 0, 0) + 60 * m; }
+
+ExprPtr TimeCmp(ExprOp op, int minute) {
+  return Expr::Cmp(op, Expr::Col("time"),
+                   Expr::Lit(Value::Timestamp(Minute(minute))));
+}
+
+void ExpectSameFormation(const SequenceGroupSet& a, const SequenceGroupSet& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.groups().size(), b.groups().size()) << what;
+  for (size_t gi = 0; gi < a.groups().size(); ++gi) {
+    const SequenceGroup& ga = a.groups()[gi];
+    const SequenceGroup& gb = b.groups()[gi];
+    EXPECT_EQ(ga.key(), gb.key()) << what << " group " << gi;
+    ASSERT_EQ(ga.offsets(), gb.offsets()) << what << " group " << gi;
+    for (Sid s = 0; s < ga.num_sequences(); ++s) {
+      auto ra = ga.Rows(s);
+      auto rb = gb.Rows(s);
+      EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
+          << what << " group " << gi << " sid " << s;
+    }
+  }
+  EXPECT_EQ(a.formed_rows(), b.formed_rows()) << what;
+}
+
+TEST_F(FormationTest, SplitWindowSeparatesSequenceByBoundsFromTheRest) {
+  SequenceSpec spec = BaseSpec();
+  ExprPtr in = Expr::Eq(Expr::Col("action"), Expr::Lit(Value::String("in")));
+  spec.where = Expr::And(Expr::And(TimeCmp(ExprOp::kGe, 3), in),
+                         TimeCmp(ExprOp::kLt, 9));
+  auto split = SplitWindow(table_->schema(), spec);
+  ASSERT_TRUE(split.has_value());
+  ASSERT_EQ(split->window.size(), 2u);
+  EXPECT_EQ(split->window[0]->op(), ExprOp::kGe);
+  EXPECT_EQ(split->window[1]->op(), ExprOp::kLt);
+  ASSERT_NE(split->base.where, nullptr);
+  EXPECT_EQ(split->base.where->ToString(), in->ToString());
+  SequenceSpec residual = BaseSpec();
+  residual.where = in;
+  EXPECT_EQ(split->base.CanonicalString(), residual.CanonicalString());
+
+  SequenceSpec window_only = BaseSpec();
+  window_only.where = TimeCmp(ExprOp::kGt, 3);
+  auto bare = SplitWindow(table_->schema(), window_only);
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_EQ(bare->base.where, nullptr);
+}
+
+TEST_F(FormationTest, SplitWindowRefusesWhatCannotBeDerived) {
+  auto refused = [&](SequenceSpec spec) {
+    return !SplitWindow(table_->schema(), spec).has_value();
+  };
+  SequenceSpec none = BaseSpec();
+  EXPECT_TRUE(refused(none));
+  SequenceSpec no_window = BaseSpec();
+  no_window.where =
+      Expr::Eq(Expr::Col("action"), Expr::Lit(Value::String("in")));
+  EXPECT_TRUE(refused(no_window));
+  SequenceSpec disjunction = BaseSpec();
+  disjunction.where =
+      Expr::Or(TimeCmp(ExprOp::kLt, 3), TimeCmp(ExprOp::kGe, 9));
+  EXPECT_TRUE(refused(disjunction));
+  SequenceSpec literal_first = BaseSpec();
+  literal_first.where =
+      Expr::Lt(Expr::Lit(Value::Timestamp(Minute(3))), Expr::Col("time"));
+  EXPECT_TRUE(refused(literal_first));
+  SequenceSpec double_order = BaseSpec();
+  double_order.sequence_by = "amount";
+  double_order.where = Expr::Ge(Expr::Col("amount"),
+                                Expr::Lit(Value::Double(-1.0)));
+  EXPECT_TRUE(refused(double_order));
+  SequenceSpec foreign_group = BaseSpec();
+  foreign_group.where = TimeCmp(ExprOp::kGe, 3);
+  foreign_group.group_by = {{"location", "district"}};
+  EXPECT_TRUE(refused(foreign_group));
+  SequenceSpec cluster_group = foreign_group;
+  cluster_group.group_by = {{"time", "day"}};
+  EXPECT_FALSE(refused(cluster_group));
+}
+
+TEST_F(FormationTest, DeriveEqualsBuildForEveryWindowShape) {
+  SequenceQueryEngine sqe(reg_.get());
+  struct Case {
+    const char* name;
+    ExprPtr where;
+  };
+  const Case cases[] = {
+      {"empty", TimeCmp(ExprOp::kGe, 100)},
+      {"everything", TimeCmp(ExprOp::kGe, -5)},
+      {"closed_on_rows", Expr::And(TimeCmp(ExprOp::kGe, 3),
+                                   TimeCmp(ExprOp::kLe, 11))},
+      {"open_on_rows", Expr::And(TimeCmp(ExprOp::kGt, 3),
+                                 TimeCmp(ExprOp::kLt, 11))},
+      {"lower_only", TimeCmp(ExprOp::kGt, 7)},
+      {"upper_only", TimeCmp(ExprOp::kLt, 7)},
+      {"one_row", Expr::And(TimeCmp(ExprOp::kGe, 8),
+                            TimeCmp(ExprOp::kLe, 8))},
+      {"with_residual",
+       Expr::And(TimeCmp(ExprOp::kGe, 2),
+                 Expr::And(Expr::Eq(Expr::Col("action"),
+                                    Expr::Lit(Value::String("out"))),
+                           TimeCmp(ExprOp::kLt, 14)))},
+  };
+  for (bool ascending : {true, false}) {
+    for (const Case& c : cases) {
+      SequenceSpec spec = BaseSpec();
+      spec.ascending = ascending;
+      spec.where = c.where;
+      const std::string what =
+          std::string(c.name) + (ascending ? " asc" : " desc");
+      auto split = SplitWindow(table_->schema(), spec);
+      ASSERT_TRUE(split.has_value()) << what;
+      auto base = sqe.Build(*table_, split->base);
+      ASSERT_TRUE(base.ok()) << what;
+      auto derived = sqe.Derive(*table_, spec, *split, **base);
+      ASSERT_TRUE(derived.ok()) << what << ": " << derived.status().ToString();
+      auto built = sqe.Build(*table_, spec);
+      ASSERT_TRUE(built.ok()) << what;
+      ExpectSameFormation(**derived, **built, what);
+    }
+  }
+}
+
+// Cache bookkeeping over generated transit data, where a day's window is
+// about a quarter of a four-day base.
+class DerivedCacheTest : public ::testing::Test {
+ protected:
+  DerivedCacheTest() {
+    TransitParams p;
+    p.num_passengers = 200;
+    p.num_days = 4;
+    data_ = GenerateTransit(p);
+  }
+  static SequenceSpec BaseSpec() {
+    SequenceSpec s;
+    s.cluster_by = {{"card-id", "individual"}, {"time", "day"}};
+    s.sequence_by = "time";
+    return s;
+  }
+  // The window of day `day` (0-based) of the data.
+  static SequenceSpec Day(int day) {
+    SequenceSpec spec = BaseSpec();
+    const int64_t start = MakeTimestamp(2007, 10, 1 + day);
+    spec.where = Expr::And(
+        Expr::Ge(Expr::Col("time"), Expr::Lit(Value::Timestamp(start))),
+        Expr::Lt(Expr::Col("time"),
+                 Expr::Lit(Value::Timestamp(start + 86400))));
+    return spec;
+  }
+  std::shared_ptr<SequenceGroupSet> BaseSet(bool ascending = true) {
+    SequenceSpec spec = BaseSpec();
+    spec.ascending = ascending;
+    SequenceQueryEngine sqe(data_.hierarchies.get());
+    return *sqe.Build(*data_.table, spec);
+  }
+  std::shared_ptr<SequenceGroupSet> Derived(const SequenceSpec& spec,
+                                            SequenceGroupSet& base) {
+    SequenceQueryEngine sqe(data_.hierarchies.get());
+    auto split = SplitWindow(data_.table->schema(), spec);
+    EXPECT_TRUE(split.has_value());
+    auto set = sqe.Derive(*data_.table, spec, *split, base);
+    EXPECT_TRUE(set.ok());
+    return *set;
+  }
+
+  TransitData data_;
+};
+
+TEST_F(DerivedCacheTest, DerivedEntriesStayWithinTheirBaseBytesLruFirst) {
+  SequenceCache cache;
+  std::vector<uint64_t> released;
+  cache.set_release_hook(
+      [&](const SequenceGroupSet& set) { released.push_back(set.id()); });
+  const SequenceSpec base_spec = BaseSpec();
+  auto base = cache.InsertIfAbsent(base_spec, BaseSet());
+  const size_t base_bytes = base->ApproxBytes();
+
+  std::vector<std::shared_ptr<SequenceGroupSet>> days;
+  for (int d = 0; d < 3; ++d) {
+    days.push_back(cache.InsertIfAbsent(Day(d), Derived(Day(d), *base),
+                                        &base_spec));
+  }
+  const size_t three = days[0]->ApproxBytes() + days[1]->ApproxBytes() +
+                       days[2]->ApproxBytes();
+  ASSERT_LE(three, base_bytes);
+  EXPECT_EQ(cache.DerivedBytes(base_spec), three);
+  EXPECT_TRUE(released.empty());
+  // Day 1 becomes the least recently used; day 3 then overflows the bound
+  // (the four days together hold the base's rows plus per-set overhead).
+  ASSERT_EQ(cache.Lookup(Day(0)), days[0]);
+  auto day3 =
+      cache.InsertIfAbsent(Day(3), Derived(Day(3), *base), &base_spec);
+  ASSERT_GT(three + day3->ApproxBytes(), base_bytes);
+  EXPECT_EQ(released, std::vector<uint64_t>{days[1]->id()});
+  EXPECT_EQ(cache.Lookup(Day(1)), nullptr);
+  EXPECT_FALSE(cache.Holds(*days[1]));
+  EXPECT_TRUE(cache.Holds(*days[0]));
+  EXPECT_TRUE(cache.Holds(*day3));
+  EXPECT_LE(cache.DerivedBytes(base_spec), base_bytes);
+  EXPECT_TRUE(cache.Holds(*base));  // bases are never evicted
+
+  // Dropping the base takes its derived entries with it.
+  released.clear();
+  cache.Erase(base_spec);
+  EXPECT_EQ(released.size(), 4u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.DerivedBytes(base_spec), 0u);
+}
+
+TEST_F(DerivedCacheTest, DerivedSetWithoutCachedBaseIsHandedBackUncached) {
+  SequenceCache cache;
+  auto base = BaseSet();
+  const SequenceSpec base_spec = BaseSpec();
+  auto derived = Derived(Day(1), *base);
+  EXPECT_EQ(cache.InsertIfAbsent(Day(1), derived, &base_spec), derived);
+  EXPECT_FALSE(cache.Holds(*derived));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST_F(DerivedCacheTest, GovernorRejectEvictsDerivedEntriesBeforeGivingUp) {
+  auto base = BaseSet();
+  const SequenceSpec base_spec = BaseSpec();
+  auto d0 = Derived(Day(0), *base);
+  auto d1 = Derived(Day(1), *base);
+  // Room for the base and one day, not two.
+  MemoryGovernor governor(base->ApproxBytes() + d0->ApproxBytes() +
+                          d1->ApproxBytes() - 1);
+  SequenceCache cache;
+  cache.set_governor(&governor);
+  std::vector<uint64_t> released;
+  cache.set_release_hook(
+      [&](const SequenceGroupSet& set) { released.push_back(set.id()); });
+  cache.InsertIfAbsent(base_spec, base);
+  cache.InsertIfAbsent(Day(0), d0, &base_spec);
+  cache.InsertIfAbsent(Day(1), d1, &base_spec);
+  EXPECT_EQ(released, std::vector<uint64_t>{d0->id()});
+  EXPECT_TRUE(cache.Holds(*d1));
+  EXPECT_EQ(governor.used(), base->ApproxBytes() + d1->ApproxBytes());
+
+  // An ordinary formation the budget cannot fit even without derived
+  // entries: they are evicted, then the set is handed back uncached.
+  SequenceSpec other = BaseSpec();
+  other.ascending = false;
+  auto big = BaseSet(/*ascending=*/false);
+  ASSERT_GT(big->ApproxBytes(), d0->ApproxBytes() + d1->ApproxBytes());
+  EXPECT_EQ(cache.InsertIfAbsent(other, big), big);
+  EXPECT_FALSE(cache.Holds(*big));
+  EXPECT_FALSE(cache.Holds(*d1));
+  EXPECT_TRUE(cache.Holds(*base));
+  EXPECT_EQ(governor.used(), base->ApproxBytes());
+  cache.Clear();
+  EXPECT_EQ(governor.used(), 0u);
+}
+
+TEST_F(DerivedCacheTest, RefreshRechargesAGrownEntryOnlyWhileCached) {
+  MemoryGovernor governor(0);  // unlimited, still counted
+  SequenceCache cache;
+  cache.set_governor(&governor);
+  const SequenceSpec spec = BaseSpec();
+  auto set = cache.InsertIfAbsent(spec, BaseSet());
+  const size_t before = governor.used();
+  set->groups()[0].AddSequence(std::vector<uint32_t>{0, 1, 2});
+  EXPECT_TRUE(cache.Refresh(spec, *set));
+  EXPECT_EQ(governor.used(), set->ApproxBytes());
+  EXPECT_GT(governor.used(), before);
+  auto stranger = BaseSet();
+  EXPECT_FALSE(cache.Refresh(spec, *stranger));
+  EXPECT_EQ(cache.Lookup(spec), set);
 }
 
 }  // namespace

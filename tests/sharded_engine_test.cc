@@ -26,8 +26,10 @@
 #include "solap/service/query_service.h"
 
 #ifdef SOLAP_FAILPOINTS
-#include "solap/common/failpoint.h"
+#include <atomic>
 #include <functional>
+
+#include "solap/common/failpoint.h"
 #endif
 
 namespace solap {
@@ -508,6 +510,70 @@ TEST(ShardedEngineChaos, ScatteredQueriesUnderFaultsStayCorrect) {
   auto after = engine.Execute(spec, ExecStrategy::kCounterBased);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   ExpectCuboidsIdentical(**expect, **after, "post-disarm");
+}
+
+// A failed ingest fan-out rebuilds every shard executor. The calls that
+// walk the shards (memory and index-cache getters, the delta snapshot,
+// MergeDeltasNow, WarmSequenceCache, MaterializeIndex) hold what that
+// rebuild holds; under TSan a walker looping over them while appends keep
+// failing reports no race, and the engine answers exactly afterwards.
+TEST(ShardedEngineChaos, ShardWalksStaySafeAcrossFailedFanOutRebuilds) {
+  TransitParams tp;
+  tp.num_passengers = 200;
+  tp.num_days = 1;
+  TransitData transit = GenerateTransit(tp);
+  EngineOptions opts = ShardOpts(4);
+  opts.shard_by = "card-id";
+  ShardedEngine engine(transit.table.get(), transit.hierarchies.get(), opts);
+  ASSERT_EQ(engine.num_shards(), 4u);
+  CuboidSpec spec;
+  spec.seq.cluster_by = {{"card-id", "individual"}};
+  spec.seq.sequence_by = "time";
+  spec.symbols = {"X", "Y"};
+  spec.dims = {PatternDim{"X", {"location", "station"}, {}, ""},
+               PatternDim{"Y", {"location", "station"}, {}, ""}};
+  const IndexShape shape{PatternKind::kSubstring,
+                         {{"location", "station"}, {"location", "station"}}};
+
+  FailpointConfig fail;
+  fail.every_nth = 3;  // some shard of most fanned-out batches fails
+  FailpointRegistry::Global().Arm("ingest.append", fail);
+  std::atomic<bool> done{false};
+  std::thread walker([&] {
+    size_t sink = 0;
+    while (!done.load()) {
+      sink += engine.MemUsed() + engine.MemBudget() + engine.MemRejects() +
+              engine.IndexCacheBytes() + engine.DeltaSnapshot().bytes;
+      (void)engine.MergeDeltasNow();
+      (void)engine.WarmSequenceCache(spec.seq);
+      (void)engine.MaterializeIndex(spec.seq, shape);
+    }
+    EXPECT_GE(sink, 0u);
+  });
+  const int64_t t0 = MakeTimestamp(2007, 10, 2);
+  size_t failed = 0;
+  for (int b = 0; b < 24; ++b) {
+    std::vector<std::vector<Value>> rows;
+    for (int i = 0; i < 8; ++i) {
+      rows.push_back({Value::Timestamp(t0 + b * 600 + i),
+                      Value::String("new-" + std::to_string(b * 8 + i)),
+                      Value::String("Pentagon"), Value::String("in"),
+                      Value::Double(0.0)});
+    }
+    if (!engine.IngestRows(rows).ok()) ++failed;
+  }
+  done.store(true);
+  walker.join();
+  FailpointRegistry::Global().DisarmAll();
+  EXPECT_GT(failed, 0u);  // the rebuild path ran
+
+  SOlapEngine fresh(static_cast<const EventTable*>(transit.table.get()),
+                    transit.hierarchies.get());
+  auto want = fresh.Execute(spec, ExecStrategy::kCounterBased);
+  auto got = engine.Execute(spec, ExecStrategy::kInvertedIndex);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectCuboidsIdentical(**want, **got, "after rebuilds");
 }
 
 #endif  // SOLAP_FAILPOINTS

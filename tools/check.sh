@@ -6,8 +6,10 @@
 # under ASan/UBSan, then the service/engine/parallel-II/ingest tests
 # under TSan (the concurrency surface: engine thread-safety, thread
 # pool, query service, sessions, intra-query join/scan partitioning,
-# and the one write path — table ingest and raw appends, concurrent
-# writers + readers + the delta merger against the epoch gate).
+# the one write path — table ingest and raw appends, concurrent
+# writers + readers + the delta merger against the epoch gate — and
+# windowed formations derived from a shared base while the sequence
+# cache evicts).
 #
 # Benchmark stage: the perfbench/ workloads (explore, scan, ingest) run
 # for one second each from a TSan build; any race report fails the check.
@@ -17,7 +19,8 @@
 # tier-1, the ASan full suite, and the TSan filter below; the
 # failpoints stages add chaos_test's shard-kill-under-armed-rpc-faults
 # and concurrent-writers-under-fault-load scenarios under both ASan
-# and TSan.
+# and TSan, and sharded_engine_test's walk of the shards while failed
+# ingest fan-outs rebuild them.
 #
 # Usage: tools/check.sh [--tier1-only]
 set -euo pipefail
@@ -67,7 +70,7 @@ run_ctest build-asan
 
 echo
 echo "== TSan: service + engine concurrency tests =="
-TSAN_FILTER="service_test|service_stress_test|engine_test|parallel_ii_test|sharded_engine_test|net_test|distributed_shard_test|ingest_test|ingest_consistency_test|extensions_test"
+TSAN_FILTER="service_test|service_stress_test|engine_test|parallel_ii_test|sharded_engine_test|net_test|distributed_shard_test|ingest_test|ingest_consistency_test|extensions_test|seq_test|property_test"
 cmake -B build-tsan -S . -DSOLAP_SANITIZE=thread >/dev/null
 build_tests build-tsan "$TSAN_FILTER"
 run_ctest build-tsan "$TSAN_FILTER"
@@ -113,11 +116,12 @@ build_tests build-fp "$FP_FILTER"
 run_ctest build-fp "$FP_FILTER"
 
 echo
-echo "== failpoints + TSan: chaos suite =="
+echo "== failpoints + TSan: chaos suite + sharded rebuild race =="
+FP_TSAN_FILTER="chaos_test|sharded_engine_test"
 cmake -B build-fp-tsan -S . -DSOLAP_FAILPOINTS=ON -DSOLAP_SANITIZE=thread \
   >/dev/null
-build_tests build-fp-tsan "chaos_test"
-run_ctest build-fp-tsan "chaos_test"
+build_tests build-fp-tsan "$FP_TSAN_FILTER"
+run_ctest build-fp-tsan "$FP_TSAN_FILTER"
 
 echo
 echo "all checks passed"
