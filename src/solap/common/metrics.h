@@ -1,7 +1,7 @@
 // Service metrics: lock-free counters and log-scale latency histograms
 // behind a name-keyed registry. The query service records queue depth,
 // wait/exec latencies and cache hit rates here; the shell's `metrics`
-// command and bench_service print Snapshot()s. Counters and histograms are
+// command prints Snapshot()s. Counters and histograms are
 // safe to update from any number of threads; the registry hands out stable
 // pointers so hot paths look a metric up once and cache it.
 #ifndef SOLAP_COMMON_METRICS_H_

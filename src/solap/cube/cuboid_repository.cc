@@ -12,41 +12,26 @@ std::shared_ptr<const SCuboid> CuboidRepository::Lookup(
 }
 
 void CuboidRepository::Insert(const std::string& spec_key,
-                              std::shared_ptr<const SCuboid> cuboid) {
-  InsertEntry(Entry{spec_key, std::move(cuboid), 0});
-}
-
-void CuboidRepository::Insert(const std::string& spec_key,
                               std::shared_ptr<const SCuboid> cuboid,
                               const CuboidSpec& spec, uint64_t epoch) {
-  Entry e{spec_key, std::move(cuboid), 0};
-  e.spec = spec;
-  e.has_spec = true;
-  e.epoch = epoch;
-  InsertEntry(std::move(e));
-}
-
-void CuboidRepository::InsertEntry(Entry entry) {
   if (capacity_bytes_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const size_t bytes = entry.cuboid->ByteSize();
-  entry.bytes = bytes;
+  const size_t bytes = cuboid->ByteSize();
   // A rejected charge skips caching but never fails the query — the caller
   // already holds the computed cuboid.
   if (governor_ != nullptr &&
       !governor_->TryCharge(bytes, "cuboid repository").ok()) {
     return;
   }
-  auto it = map_.find(entry.key);
+  auto it = map_.find(spec_key);
   if (it != map_.end()) {
     bytes_used_ -= it->second->bytes;
     if (governor_ != nullptr) governor_->Release(it->second->bytes);
     lru_.erase(it->second);
     map_.erase(it);
   }
-  const std::string key = entry.key;
-  lru_.push_front(std::move(entry));
-  map_[key] = lru_.begin();
+  lru_.push_front(Entry{spec_key, std::move(cuboid), bytes, spec, epoch});
+  map_[spec_key] = lru_.begin();
   bytes_used_ += bytes;
   EvictIfNeeded();
 }
@@ -56,7 +41,7 @@ std::vector<CuboidRepository::Snapshot> CuboidRepository::Entries() const {
   std::vector<Snapshot> out;
   out.reserve(lru_.size());
   for (const Entry& e : lru_) {
-    out.push_back(Snapshot{e.key, e.cuboid, e.spec, e.has_spec, e.epoch});
+    out.push_back(Snapshot{e.key, e.cuboid, e.spec, e.epoch});
   }
   return out;
 }

@@ -41,13 +41,10 @@ class CuboidRepository {
   std::shared_ptr<const SCuboid> Lookup(const std::string& spec_key);
 
   /// Inserts (or replaces) the cuboid for `spec_key`, evicting
-  /// least-recently-used entries to honor the byte budget.
-  void Insert(const std::string& spec_key,
-              std::shared_ptr<const SCuboid> cuboid);
-
-  /// Insert carrying the spec that produced the cuboid plus the engine
-  /// epoch it was computed at — the metadata streaming ingestion needs to
-  /// delta-patch (pattern-invariant appends) or invalidate the entry
+  /// least-recently-used entries to honor the byte budget. The entry
+  /// carries the spec that produced the cuboid plus the engine epoch it was
+  /// computed at — the metadata streaming ingestion needs to delta-patch
+  /// (pattern-invariant appends) or invalidate the entry
   /// (docs/INGESTION.md).
   void Insert(const std::string& spec_key,
               std::shared_ptr<const SCuboid> cuboid, const CuboidSpec& spec,
@@ -57,8 +54,7 @@ class CuboidRepository {
   struct Snapshot {
     std::string key;
     std::shared_ptr<const SCuboid> cuboid;
-    CuboidSpec spec;        ///< meaningful only when has_spec
-    bool has_spec = false;  ///< false for legacy spec-less inserts
+    CuboidSpec spec;
     uint64_t epoch = 0;
   };
   /// All entries, LRU order not implied. Recency is NOT refreshed.
@@ -89,11 +85,9 @@ class CuboidRepository {
     std::shared_ptr<const SCuboid> cuboid;
     size_t bytes;
     CuboidSpec spec;
-    bool has_spec = false;
     uint64_t epoch = 0;
   };
 
-  void InsertEntry(Entry entry);
   void EvictIfNeeded();  // requires mu_ held
 
   mutable std::mutex mu_;

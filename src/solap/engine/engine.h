@@ -401,27 +401,16 @@ class SOlapEngine {
 
   // -- Streaming-ingestion internals (engine/ingest.cc) ----------------------
 
-  /// One group's appended-sid range within an extended formation.
-  struct GroupDelta {
-    size_t group_idx = 0;
-    Sid old_count = 0;  ///< sids >= old_count are the appended tail
-  };
   using FormationDeltas =
       std::unordered_map<SequenceGroupSet*, std::vector<GroupDelta>>;
 
-  /// Extends every cached formation with the table rows past its
-  /// formed_rows(), or invalidates it (and its index caches) when the
-  /// extension is not pattern-invariant, then runs MaintainCaches. Caller
-  /// holds the exclusive gate.
+  /// Forms the table rows past each cached formation's formed_rows() with
+  /// SequenceQueryEngine::Extend, the routine that builds formations, so
+  /// the new sequences land at the tails of their groups. A formation the
+  /// extension refuses (a new row joins an existing cluster key) is
+  /// invalidated, with its index caches; then runs MaintainCaches over the
+  /// touched groups. Caller holds the exclusive gate.
   void CatchUpFormations(ScanStats* stats);
-
-  /// Attempts the pattern-invariant extension of one cached formation with
-  /// table rows [set->formed_rows(), num_rows). Returns false when any new
-  /// row maps to an existing cluster key — the caller must invalidate
-  /// instead. On success records the touched groups' deltas.
-  Result<bool> TryExtendFormation(const SequenceSpec& spec,
-                                  const std::shared_ptr<SequenceGroupSet>& set,
-                                  FormationDeltas* deltas);
 
   /// The one cache-maintenance step after any append, run by every writer
   /// under the exclusive gate: for each touched group, drops its symbol

@@ -8,9 +8,10 @@
 // structure instead of dropping them all:
 //
 //   - formations whose new rows only introduce NEW cluster keys are
-//     extended in place — the new sequences append at the tail of their
-//     groups, so existing sids (and therefore every cached inverted list)
-//     stay valid;
+//     extended in place by forming just those rows
+//     (SequenceQueryEngine::Extend, which Build runs over an empty set) —
+//     the new sequences append at the tail of their groups, so existing
+//     sids (and therefore every cached inverted list) stay valid;
 //   - cached complete indices of touched groups grow a DELTA segment
 //     (inverted_index.h) covering just the appended sids; the background
 //     merger folds deltas into base containers off the ingest path;
@@ -24,8 +25,6 @@
 // invalidated and rebuilt lazily on next use.
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <unordered_set>
 #include <utility>
 
 #include "solap/common/failpoint.h"
@@ -106,17 +105,20 @@ Status SOlapEngine::AppendRawSequences(
 }
 
 void SOlapEngine::CatchUpFormations(ScanStats* stats) {
+  SequenceQueryEngine sqe(hierarchies_);
   FormationDeltas deltas;
   // The snapshot keeps every set alive until the deltas are pruned below.
   const auto entries = sequence_cache_.Entries();
   for (const auto& [spec, set] : entries) {
     // Erasing a base earlier in this walk evicted its derived entries.
     if (!sequence_cache_.Holds(*set)) continue;
-    auto extended = TryExtendFormation(spec, set, &deltas);
+    std::vector<GroupDelta> touched;
+    auto extended = sqe.Extend(*table_, spec, &retention_, *set, &touched);
     if (!extended.ok() || !extended.value()) {
       sequence_cache_.Erase(spec);
       ++stats->formation_invalidations;
     } else {
+      deltas[set.get()] = std::move(touched);
       // Re-charge at the new ApproxBytes; a refused set leaves the cache.
       sequence_cache_.Refresh(spec, *set);
     }
@@ -128,95 +130,6 @@ void SOlapEngine::CatchUpFormations(ScanStats* stats) {
     return !sequence_cache_.Holds(*d.first);
   });
   MaintainCaches(deltas, stats);
-}
-
-Result<bool> SOlapEngine::TryExtendFormation(
-    const SequenceSpec& spec, const std::shared_ptr<SequenceGroupSet>& set,
-    FormationDeltas* deltas) {
-  const size_t n_rows = table_->num_rows();
-  const RowId from_row = static_cast<RowId>(set->formed_rows());
-  // Formed after the append (or already caught up): nothing to extend.
-  if (from_row >= n_rows) return true;
-
-  // Bind the formation clauses exactly as SequenceQueryEngine::Build
-  // does, so extension and rebuild classify rows identically.
-  ExprPtr where;
-  if (spec.where != nullptr) {
-    SOLAP_ASSIGN_OR_RETURN(where, spec.where->Bind(table_->schema(), nullptr));
-  }
-  std::vector<DimensionBinding> cluster_bindings;
-  for (const LevelRef& r : spec.cluster_by) {
-    SOLAP_ASSIGN_OR_RETURN(
-        DimensionBinding b,
-        DimensionBinding::MakeForTable(*table_, hierarchies_, r));
-    cluster_bindings.push_back(std::move(b));
-  }
-  SOLAP_ASSIGN_OR_RETURN(int order_col,
-                         table_->schema().RequireField(spec.sequence_by));
-  const ValueType order_type = table_->schema().field(order_col).type;
-  auto order_value = [&](RowId r) -> double {
-    if (order_type == ValueType::kDouble) return table_->DoubleAt(r, order_col);
-    return static_cast<double>(table_->Int64At(r, order_col));
-  };
-
-  // Every cluster key the formation already holds, read off each
-  // sequence's first event (cluster values are functionally determined by
-  // the cluster, so one row suffices).
-  std::unordered_set<CellKey, CodeVecHash> existing;
-  for (SequenceGroup& group : set->groups()) {
-    const Sid n = static_cast<Sid>(group.num_sequences());
-    CellKey ckey(cluster_bindings.size());
-    for (Sid s = 0; s < n; ++s) {
-      const RowId row = group.Rows(s).front();
-      for (size_t i = 0; i < cluster_bindings.size(); ++i) {
-        ckey[i] = cluster_bindings[i].CodeOf(*table_, row);
-      }
-      existing.insert(ckey);
-    }
-  }
-
-  // Classify the new rows. Ordered map for deterministic sid assignment,
-  // mirroring the fresh-formation path.
-  std::map<CellKey, std::vector<RowId>> fresh_clusters;
-  CellKey ckey(cluster_bindings.size());
-  for (RowId row = from_row; row < n_rows; ++row) {
-    if (!retention_.Keep(*table_, row)) continue;
-    if (where != nullptr && !where->EvalRow(*table_, row).AsBool()) {
-      continue;
-    }
-    for (size_t i = 0; i < cluster_bindings.size(); ++i) {
-      ckey[i] = cluster_bindings[i].CodeOf(*table_, row);
-    }
-    if (existing.count(ckey) != 0) return false;  // caller invalidates
-    fresh_clusters[ckey].push_back(row);
-  }
-
-  // Pattern-invariant extension: all selected rows form brand-new
-  // sequences, appended at the tail of their groups.
-  const std::vector<DimensionBinding>& gb = set->global_bindings();
-  std::map<size_t, Sid> old_counts;  // touched group -> old size
-  CellKey gkey(gb.size());
-  for (auto& [key, seq_rows] : fresh_clusters) {
-    std::stable_sort(seq_rows.begin(), seq_rows.end(),
-                     [&](RowId a, RowId b) {
-                       double va = order_value(a), vb = order_value(b);
-                       return spec.ascending ? va < vb : vb < va;
-                     });
-    for (size_t i = 0; i < gb.size(); ++i) {
-      gkey[i] = gb[i].CodeOf(*table_, seq_rows.front());
-    }
-    SequenceGroup& group = set->GroupFor(gkey);
-    // Identify the group by position (GroupFor may have just created it).
-    const size_t gi = static_cast<size_t>(&group - set->groups().data());
-    old_counts.emplace(gi, static_cast<Sid>(group.num_sequences()));
-    group.AddSequence(seq_rows);
-  }
-  set->set_formed_rows(n_rows);
-  std::vector<GroupDelta>& group_deltas = (*deltas)[set.get()];
-  for (const auto& [gi, old_count] : old_counts) {
-    group_deltas.push_back(GroupDelta{gi, old_count});
-  }
-  return true;
 }
 
 void SOlapEngine::MaintainCaches(const FormationDeltas& deltas,
@@ -261,7 +174,7 @@ void SOlapEngine::PatchOrInvalidateCuboids(const FormationDeltas& deltas,
       repository_.Erase(e.key);
       ++stats->stale_cuboid_invalidations;
     };
-    if (!e.has_spec || !AppendPatchable(e.spec)) {
+    if (!AppendPatchable(e.spec)) {
       invalidate();
       continue;
     }

@@ -69,6 +69,11 @@ std::string ConceptHierarchy::LabelOf(const Dictionary& base_dict, int level,
   return level_dicts_[level]->ValueOf(code);
 }
 
+Code ConceptHierarchy::LookupLabel(int level, const std::string& label) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return level_dicts_[level]->Lookup(label);
+}
+
 std::vector<Code> ConceptHierarchy::BaseCodesOf(int level,
                                                 Code parent_code) const {
   std::vector<Code> out;

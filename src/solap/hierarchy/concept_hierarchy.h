@@ -50,10 +50,10 @@ class ConceptHierarchy {
   std::string LabelOf(const Dictionary& base_dict, int level,
                       Code code) const;
 
-  /// Dictionary of a non-base level (codes assigned by MapBaseCode).
-  const Dictionary& level_dictionary(int level) const {
-    return *level_dicts_[level];
-  }
+  /// Code of `label` at non-base `level` (codes are assigned by
+  /// MapBaseCode), or kNullCode when no base value compiled so far rolls
+  /// up to it.
+  Code LookupLabel(int level, const std::string& label) const;
 
   /// Base codes that roll up to `parent_code` at `level` — the refinement
   /// used by P-DRILL-DOWN list splitting. Only base codes already seen by

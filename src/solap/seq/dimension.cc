@@ -125,7 +125,7 @@ Result<Code> DimensionBinding::CodeOfLabel(const std::string& label) const {
   if (hierarchy_ == nullptr || level_index_ == 0) {
     return base_dict_ ? base_dict_->Lookup(label) : kNullCode;
   }
-  return hierarchy_->level_dictionary(level_index_).Lookup(label);
+  return hierarchy_->LookupLabel(level_index_, label);
 }
 
 Result<std::vector<Code>> DimensionBinding::AllowedCodes(
@@ -164,8 +164,7 @@ Result<std::vector<Code>> DimensionBinding::AllowedCodes(
   }
   std::vector<Code> slice_codes;
   for (const std::string& label : labels) {
-    slice_codes.push_back(
-        hierarchy_->level_dictionary(slice_idx).Lookup(label));
+    slice_codes.push_back(hierarchy_->LookupLabel(slice_idx, label));
   }
   std::vector<Code> table =
       hierarchy_->LevelToLevel(*base_dict_, level_index_, slice_idx);

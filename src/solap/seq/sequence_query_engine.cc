@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_set>
 #include <utility>
 
 #include "solap/common/strings.h"
@@ -45,6 +46,29 @@ bool IsWindowConjunct(const Expr& e, const std::string& sequence_by) {
   }
 }
 
+// Binds each of `refs` (CLUSTER BY or GROUP BY levels) against `table`.
+Result<std::vector<DimensionBinding>> BindLevels(
+    const EventTable& table, const HierarchyRegistry* hierarchies,
+    const std::vector<LevelRef>& refs) {
+  std::vector<DimensionBinding> out;
+  for (const LevelRef& r : refs) {
+    SOLAP_ASSIGN_OR_RETURN(
+        DimensionBinding b,
+        DimensionBinding::MakeForTable(table, hierarchies, r));
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+// The key of `row` under `bindings`: one level code per binding.
+void KeyOf(const std::vector<DimensionBinding>& bindings,
+           const EventTable& table, RowId row, CellKey* key) {
+  key->resize(bindings.size());
+  for (size_t i = 0; i < bindings.size(); ++i) {
+    (*key)[i] = bindings[i].CodeOf(table, row);
+  }
+}
+
 }  // namespace
 
 std::optional<WindowSplit> SplitWindow(const Schema& schema,
@@ -83,6 +107,20 @@ std::optional<WindowSplit> SplitWindow(const Schema& schema,
 Result<std::shared_ptr<SequenceGroupSet>> SequenceQueryEngine::Build(
     const EventTable& table, const SequenceSpec& spec,
     const RowFilter* filter) {
+  SOLAP_ASSIGN_OR_RETURN(std::vector<DimensionBinding> global_bindings,
+                         BindLevels(table, hierarchies_, spec.group_by));
+  auto set = std::make_shared<SequenceGroupSet>(&table, spec.group_by,
+                                                std::move(global_bindings));
+  // An empty set holds no cluster key, so the extension cannot refuse.
+  SOLAP_RETURN_NOT_OK(Extend(table, spec, filter, *set, nullptr).status());
+  return set;
+}
+
+Result<bool> SequenceQueryEngine::Extend(const EventTable& table,
+                                         const SequenceSpec& spec,
+                                         const RowFilter* filter,
+                                         SequenceGroupSet& set,
+                                         std::vector<GroupDelta>* touched) {
   if (spec.cluster_by.empty()) {
     return Status::InvalidArgument("CLUSTER BY must name at least one "
                                    "attribute");
@@ -92,20 +130,8 @@ Result<std::shared_ptr<SequenceGroupSet>> SequenceQueryEngine::Build(
   if (spec.where != nullptr) {
     SOLAP_ASSIGN_OR_RETURN(where, spec.where->Bind(table.schema(), nullptr));
   }
-  std::vector<DimensionBinding> cluster_bindings;
-  for (const LevelRef& r : spec.cluster_by) {
-    SOLAP_ASSIGN_OR_RETURN(
-        DimensionBinding b,
-        DimensionBinding::MakeForTable(table, hierarchies_, r));
-    cluster_bindings.push_back(std::move(b));
-  }
-  std::vector<DimensionBinding> global_bindings;
-  for (const LevelRef& r : spec.group_by) {
-    SOLAP_ASSIGN_OR_RETURN(
-        DimensionBinding b,
-        DimensionBinding::MakeForTable(table, hierarchies_, r));
-    global_bindings.push_back(std::move(b));
-  }
+  SOLAP_ASSIGN_OR_RETURN(std::vector<DimensionBinding> cluster_bindings,
+                         BindLevels(table, hierarchies_, spec.cluster_by));
   SOLAP_ASSIGN_OR_RETURN(int order_col,
                          table.schema().RequireField(spec.sequence_by));
   ValueType order_type = table.schema().field(order_col).type;
@@ -115,19 +141,31 @@ Result<std::shared_ptr<SequenceGroupSet>> SequenceQueryEngine::Build(
                                    spec.sequence_by + "' must be numeric");
   }
 
+  const size_t n = table.num_rows();
+  if (set.formed_rows() >= n) return true;  // nothing appended since
+
+  // Every cluster key the set already holds, read off each sequence's
+  // first event (cluster values are functionally determined by the
+  // cluster, so one row suffices).
+  std::unordered_set<CellKey, CodeVecHash> existing;
+  CellKey ckey;
+  for (const SequenceGroup& group : set.groups()) {
+    for (Sid s = 0; s < group.num_sequences(); ++s) {
+      KeyOf(cluster_bindings, table, group.Rows(s).front(), &ckey);
+      existing.insert(ckey);
+    }
+  }
+
   // Steps 1 + 2: select events and bucket them into clusters. An ordered map
   // keeps cluster (and therefore sid) assignment deterministic.
   std::map<CellKey, std::vector<RowId>> clusters;
-  const size_t n = table.num_rows();
-  CellKey ckey(cluster_bindings.size());
-  for (RowId row = 0; row < n; ++row) {
+  for (RowId row = static_cast<RowId>(set.formed_rows()); row < n; ++row) {
     if (filter != nullptr && !filter->Keep(table, row)) continue;
     if (where != nullptr && !where->EvalRow(table, row).AsBool()) {
       continue;
     }
-    for (size_t i = 0; i < cluster_bindings.size(); ++i) {
-      ckey[i] = cluster_bindings[i].CodeOf(table, row);
-    }
+    KeyOf(cluster_bindings, table, row, &ckey);
+    if (existing.contains(ckey)) return false;
     clusters[ckey].push_back(row);
   }
 
@@ -138,9 +176,8 @@ Result<std::shared_ptr<SequenceGroupSet>> SequenceQueryEngine::Build(
     return static_cast<double>(table.Int64At(r, order_col));
   };
 
-  auto set = std::make_shared<SequenceGroupSet>(&table, spec.group_by,
-                                                global_bindings);
-  CellKey gkey(global_bindings.size());
+  std::map<size_t, Sid> old_counts;  // touched group -> old size
+  CellKey gkey;
   for (auto& [key, rows] : clusters) {
     std::stable_sort(rows.begin(), rows.end(), [&](RowId a, RowId b) {
       double va = order_value(a), vb = order_value(b);
@@ -149,13 +186,20 @@ Result<std::shared_ptr<SequenceGroupSet>> SequenceQueryEngine::Build(
     // Step 4: the global dimension values of a sequence are shared by all of
     // its events (they are functionally determined by the cluster key), so
     // they are read off the first event.
-    for (size_t i = 0; i < global_bindings.size(); ++i) {
-      gkey[i] = global_bindings[i].CodeOf(table, rows.front());
+    KeyOf(set.global_bindings(), table, rows.front(), &gkey);
+    SequenceGroup& group = set.GroupFor(gkey);
+    if (touched != nullptr) {
+      // Identify the group by position (GroupFor may have just created it).
+      old_counts.try_emplace(static_cast<size_t>(&group - set.groups().data()),
+                             static_cast<Sid>(group.num_sequences()));
     }
-    set->GroupFor(gkey).AddSequence(rows);
+    group.AddSequence(rows);
   }
-  set->set_formed_rows(n);
-  return set;
+  set.set_formed_rows(n);
+  for (const auto& [gi, old_count] : old_counts) {
+    touched->push_back(GroupDelta{gi, old_count});
+  }
+  return true;
 }
 
 Result<std::shared_ptr<SequenceGroupSet>> SequenceQueryEngine::Derive(
@@ -244,20 +288,12 @@ Result<std::shared_ptr<SequenceGroupSet>> SequenceQueryEngine::Derive(
   // a freshly built base holds each group's sequences in cluster-key
   // order, so the derived groups order by their first kept sequence's key.
   if (kept.size() > 1) {
-    std::vector<DimensionBinding> cluster_bindings;
-    for (const LevelRef& r : spec.cluster_by) {
-      SOLAP_ASSIGN_OR_RETURN(
-          DimensionBinding b,
-          DimensionBinding::MakeForTable(table, hierarchies_, r));
-      cluster_bindings.push_back(std::move(b));
-    }
+    SOLAP_ASSIGN_OR_RETURN(std::vector<DimensionBinding> cluster_bindings,
+                           BindLevels(table, hierarchies_, spec.cluster_by));
     std::vector<std::pair<CellKey, size_t>> order(kept.size());
     for (size_t i = 0; i < kept.size(); ++i) {
-      const RowId first = kept[i].slices.front().front();
-      order[i].first.resize(cluster_bindings.size());
-      for (size_t d = 0; d < cluster_bindings.size(); ++d) {
-        order[i].first[d] = cluster_bindings[d].CodeOf(table, first);
-      }
+      KeyOf(cluster_bindings, table, kept[i].slices.front().front(),
+            &order[i].first);
       order[i].second = i;
     }
     std::sort(order.begin(), order.end());

@@ -67,6 +67,12 @@ struct WindowSplit {
 std::optional<WindowSplit> SplitWindow(const Schema& schema,
                                        const SequenceSpec& spec);
 
+/// One group's appended-sid range within an extended formation.
+struct GroupDelta {
+  size_t group_idx = 0;
+  Sid old_count = 0;  ///< sids >= old_count are the appended tail
+};
+
 /// \brief Executes SequenceSpecs against an event table.
 ///
 /// The paper offloads these four steps to "an existing sequence database
@@ -76,11 +82,22 @@ class SequenceQueryEngine {
   explicit SequenceQueryEngine(const HierarchyRegistry* hierarchies)
       : hierarchies_(hierarchies) {}
 
-  /// Runs steps 1-4 and returns the grouped sequences. `filter` (optional)
-  /// is the engine's retention window.
+  /// Runs steps 1-4 and returns the grouped sequences: Extend of an empty
+  /// set. `filter` (optional) is the engine's retention window.
   Result<std::shared_ptr<SequenceGroupSet>> Build(
       const EventTable& table, const SequenceSpec& spec,
       const RowFilter* filter = nullptr);
+
+  /// Runs steps 1-4 over table rows [set.formed_rows(), num_rows) and
+  /// appends the new sequences at the tails of their groups, in cluster-key
+  /// order; groups first seen here go after the existing ones (paper §6).
+  /// Appends each touched group's old size to `touched` (optional), in
+  /// group order. Returns false, leaving `set` untouched, when a selected
+  /// row's cluster key already belongs to a sequence of `set`: its events
+  /// would land inside a formed sequence.
+  Result<bool> Extend(const EventTable& table, const SequenceSpec& spec,
+                      const RowFilter* filter, SequenceGroupSet& set,
+                      std::vector<GroupDelta>* touched);
 
   /// The formation of `spec` derived from `base`, the formation of
   /// split.base over the same table rows: each base sequence is cut to

@@ -1,7 +1,14 @@
 // Unit tests for concept hierarchies and calendar bucketing.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "solap/hierarchy/concept_hierarchy.h"
+#include "solap/seq/dimension.h"
 
 namespace solap {
 namespace {
@@ -79,6 +86,43 @@ TEST_F(HierarchyTest, LevelToLevelTable) {
 TEST_F(HierarchyTest, SetParentRangeChecks) {
   EXPECT_FALSE(h_.SetParent(2, "South", "Earth").ok());
   EXPECT_FALSE(h_.SetParent(-1, "x", "y").ok());
+}
+
+// One query resolves slice labels while another's formation compiles the
+// hierarchy: every newly seen base value with no declared parent adds a
+// value to the level dictionary the lookup reads.
+TEST(HierarchyConcurrencyTest, LabelLookupWhileCompiling) {
+  constexpr int kValues = 2000;
+  auto h = std::make_shared<ConceptHierarchy>(
+      std::vector<std::string>{"station", "district"});
+  HierarchyRegistry reg;
+  reg.Register("station", h);
+  Dictionary base;  // touched by the compiling thread only
+  auto district =
+      DimensionBinding::MakeForRaw(base, &reg, {"station", "district"});
+  ASSERT_TRUE(district.ok());
+
+  std::atomic<bool> done{false};
+  std::thread compiler([&] {
+    for (int i = 0; i < kValues; ++i) {
+      h->MapBaseCode(base, 1, base.GetOrAdd("s" + std::to_string(i)));
+    }
+    done = true;
+  });
+  // Unmapped values roll up to themselves, so value i is level code i once
+  // compiled, and unknown before.
+  size_t wrong = 0;
+  do {
+    for (int i = 0; i < kValues; i += 7) {
+      auto code = district->CodeOfLabel("s" + std::to_string(i));
+      if (!code.ok() || (*code != kNullCode && *code != Code(i))) ++wrong;
+    }
+  } while (!done);
+  compiler.join();
+  EXPECT_EQ(wrong, 0u);
+  for (int i = 0; i < kValues; ++i) {
+    EXPECT_EQ(*district->CodeOfLabel("s" + std::to_string(i)), Code(i));
+  }
 }
 
 TEST(CalendarTest, DayWeekMonthBuckets) {

@@ -2,6 +2,8 @@
 // the formation pipeline (steps 1-4 of S-cuboid construction), and caching.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "paper_fixtures.h"
@@ -339,6 +341,167 @@ TEST_F(FormationTest, DeriveEqualsBuildForEveryWindowShape) {
       ExpectSameFormation(**derived, **built, what);
     }
   }
+}
+
+// --- Extension: formation of appended rows (paper §6) ---------------------
+
+// The fare-group hierarchy of the Fig. 8 cards: 688 and 23456 are regular,
+// 1012 and 77 students.
+std::shared_ptr<ConceptHierarchy> RegisterFareGroups(HierarchyRegistry& reg) {
+  auto card_h = std::make_shared<ConceptHierarchy>(
+      std::vector<std::string>{"card-id", "fare-group"});
+  (void)card_h->SetParent(0, "688", "regular");
+  (void)card_h->SetParent(0, "23456", "regular");
+  (void)card_h->SetParent(0, "1012", "student");
+  (void)card_h->SetParent(0, "77", "student");
+  reg.Register("card-id", card_h);
+  return card_h;
+}
+
+// The formation of `spec` before any row: no group, GROUP BY bound.
+std::shared_ptr<SequenceGroupSet> EmptySet(const EventTable& table,
+                                           const HierarchyRegistry* reg,
+                                           const SequenceSpec& spec) {
+  std::vector<DimensionBinding> bindings;
+  for (const LevelRef& r : spec.group_by) {
+    bindings.push_back(*DimensionBinding::MakeForTable(table, reg, r));
+  }
+  return std::make_shared<SequenceGroupSet>(&table, spec.group_by,
+                                            std::move(bindings));
+}
+
+// One Fig. 8-shaped event of `card` at `ts`.
+void AppendEvent(EventTable& table, const char* card, int64_t ts) {
+  ASSERT_TRUE(table
+                  .AppendRow({Value::Timestamp(ts), Value::String(card),
+                              Value::String("Pentagon"), Value::String("in"),
+                              Value::Double(0.0)})
+                  .ok());
+}
+
+int64_t Dec(int day, int hour, int minute) {
+  return MakeTimestamp(2007, 12, day, hour, minute, 0);
+}
+
+TEST_F(FormationTest, ExtendOfAnEmptySetEqualsBuild) {
+  RegisterFareGroups(*reg_);
+  SequenceQueryEngine sqe(reg_.get());
+  // Drops card 688's first five events.
+  const RowFilter retention{0, Minute(5)};
+  for (bool ascending : {true, false}) {
+    for (bool grouped : {false, true}) {
+      for (const RowFilter* filter : {static_cast<const RowFilter*>(nullptr),
+                                      &retention}) {
+        SequenceSpec spec = BaseSpec();
+        spec.ascending = ascending;
+        if (grouped) spec.group_by = {{"card-id", "fare-group"}};
+        const std::string what = std::string(ascending ? "asc" : "desc") +
+                                 (grouped ? " grouped" : "") +
+                                 (filter != nullptr ? " retention" : "");
+        auto built = sqe.Build(*table_, spec, filter);
+        ASSERT_TRUE(built.ok()) << what;
+        auto set = EmptySet(*table_, reg_.get(), spec);
+        std::vector<GroupDelta> touched;
+        auto extended = sqe.Extend(*table_, spec, filter, *set, &touched);
+        ASSERT_TRUE(extended.ok()) << what;
+        EXPECT_TRUE(*extended) << what;
+        ExpectSameFormation(*set, **built, what);
+        EXPECT_EQ(set->groups().size(), grouped ? 2u : 1u) << what;
+        // Every group is new: each reports an old size of 0.
+        ASSERT_EQ(touched.size(), set->groups().size()) << what;
+        for (size_t gi = 0; gi < touched.size(); ++gi) {
+          EXPECT_EQ(touched[gi].group_idx, gi) << what;
+          EXPECT_EQ(touched[gi].old_count, 0u) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(FormationTest, ExtendAppendsNewKeysAtGroupTails) {
+  ASSERT_TRUE(RegisterFareGroups(*reg_)->SetParent(0, "900", "student").ok());
+  SequenceSpec spec = BaseSpec();
+  spec.group_by = {{"card-id", "fare-group"}};
+  SequenceQueryEngine sqe(reg_.get());
+  auto built = sqe.Build(*table_, spec);
+  ASSERT_TRUE(built.ok());
+  SequenceGroupSet& set = **built;
+  // Groups in the order of their smallest card: 688's regular, then 1012's
+  // student, each with its two cards' sequences in card order.
+  ASSERT_EQ(set.groups().size(), 2u);
+  EXPECT_EQ(set.KeyLabels(set.groups()[0].key())[0], "regular");
+  EXPECT_EQ(set.KeyLabels(set.groups()[1].key())[0], "student");
+
+  // New cluster keys only: two new cards (900 is a student, 5 has no fare
+  // group and rolls up to itself) and a second day of card 688.
+  AppendEvent(*table_, "900", Dec(25, 9, 30));  // row 16
+  AppendEvent(*table_, "5", Dec(25, 9, 10));    // row 17
+  AppendEvent(*table_, "900", Dec(25, 9, 20));  // row 18
+  AppendEvent(*table_, "688", Dec(26, 8, 0));   // row 19
+  AppendEvent(*table_, "5", Dec(25, 9, 0));     // row 20
+  std::vector<GroupDelta> touched;
+  auto extended = sqe.Extend(*table_, spec, nullptr, set, &touched);
+  ASSERT_TRUE(extended.ok()) << extended.status().ToString();
+  ASSERT_TRUE(*extended);
+  EXPECT_EQ(set.formed_rows(), 21u);
+
+  // The new sequences take the next sids of their groups, in cluster-key
+  // order (688, then 900, then 5: card codes follow first appearance), and
+  // the new group "5" goes after the existing ones.
+  auto rows = [&](size_t gi, Sid s) {
+    auto r = set.groups()[gi].Rows(s);
+    return std::vector<RowId>(r.begin(), r.end());
+  };
+  ASSERT_EQ(set.groups().size(), 3u);
+  EXPECT_EQ(set.KeyLabels(set.groups()[2].key())[0], "5");
+  ASSERT_EQ(set.groups()[0].num_sequences(), 3u);
+  EXPECT_EQ(rows(0, 0), (std::vector<RowId>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(rows(0, 1), (std::vector<RowId>{6, 7, 8, 9}));
+  EXPECT_EQ(rows(0, 2), (std::vector<RowId>{19}));
+  ASSERT_EQ(set.groups()[1].num_sequences(), 3u);
+  EXPECT_EQ(rows(1, 0), (std::vector<RowId>{10, 11}));
+  EXPECT_EQ(rows(1, 1), (std::vector<RowId>{12, 13, 14, 15}));
+  EXPECT_EQ(rows(1, 2), (std::vector<RowId>{18, 16}));
+  ASSERT_EQ(set.groups()[2].num_sequences(), 1u);
+  EXPECT_EQ(rows(2, 0), (std::vector<RowId>{20, 17}));
+
+  ASSERT_EQ(touched.size(), 3u);
+  EXPECT_EQ(touched[0].group_idx, 0u);
+  EXPECT_EQ(touched[0].old_count, 2u);
+  EXPECT_EQ(touched[1].group_idx, 1u);
+  EXPECT_EQ(touched[1].old_count, 2u);
+  EXPECT_EQ(touched[2].group_idx, 2u);
+  EXPECT_EQ(touched[2].old_count, 0u);
+}
+
+TEST_F(FormationTest, ExtendRefusesATailRowOfAnExistingKey) {
+  RegisterFareGroups(*reg_);
+  SequenceSpec spec = BaseSpec();
+  spec.group_by = {{"card-id", "fare-group"}};
+  SequenceQueryEngine sqe(reg_.get());
+  auto built = sqe.Build(*table_, spec);
+  ASSERT_TRUE(built.ok());
+  SequenceGroupSet& set = **built;
+  auto sizes = [&] {
+    std::vector<std::pair<size_t, size_t>> out;
+    for (const SequenceGroup& g : set.groups()) {
+      out.emplace_back(g.num_sequences(), g.total_events());
+    }
+    return out;
+  };
+  const auto before = sizes();
+
+  // A new key first, then a later event of card 688 on its formed day.
+  AppendEvent(*table_, "900", Dec(25, 9, 0));
+  AppendEvent(*table_, "688", Dec(25, 9, 40));
+  std::vector<GroupDelta> touched;
+  auto extended = sqe.Extend(*table_, spec, nullptr, set, &touched);
+  ASSERT_TRUE(extended.ok()) << extended.status().ToString();
+  EXPECT_FALSE(*extended);
+  EXPECT_EQ(set.groups().size(), 2u);
+  EXPECT_EQ(sizes(), before);
+  EXPECT_EQ(set.formed_rows(), 16u);
+  EXPECT_TRUE(touched.empty());
 }
 
 // Cache bookkeeping over generated transit data, where a day's window is

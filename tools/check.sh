@@ -7,9 +7,9 @@
 # under TSan (the concurrency surface: engine thread-safety, thread
 # pool, query service, sessions, intra-query join/scan partitioning,
 # the one write path — table ingest and raw appends, concurrent
-# writers + readers + the delta merger against the epoch gate — and
-# windowed formations derived from a shared base while the sequence
-# cache evicts).
+# writers + readers + the delta merger against the epoch gate — windowed
+# formations derived from a shared base while the sequence cache evicts,
+# and concept-hierarchy label lookups while a formation compiles it).
 #
 # Benchmark stage: the perfbench/ workloads (explore, scan, ingest) run
 # for one second each from a TSan build; any race report fails the check.
@@ -70,7 +70,7 @@ run_ctest build-asan
 
 echo
 echo "== TSan: service + engine concurrency tests =="
-TSAN_FILTER="service_test|service_stress_test|engine_test|parallel_ii_test|sharded_engine_test|net_test|distributed_shard_test|ingest_test|ingest_consistency_test|extensions_test|seq_test|property_test"
+TSAN_FILTER="hierarchy_test|service_test|service_stress_test|engine_test|parallel_ii_test|sharded_engine_test|net_test|distributed_shard_test|ingest_test|ingest_consistency_test|extensions_test|seq_test|property_test"
 cmake -B build-tsan -S . -DSOLAP_SANITIZE=thread >/dev/null
 build_tests build-tsan "$TSAN_FILTER"
 run_ctest build-tsan "$TSAN_FILTER"
