@@ -51,8 +51,9 @@ struct ScanStats {
   uint64_t shard_partials = 0;
   /// Cells folded while merging shard partials into the final cuboid.
   uint64_t shard_merged_cells = 0;
-  /// Queries a sharded engine could not scatter (non-base CLUSTER BY,
-  /// online aggregation) and routed to its monolithic fallback executor.
+  /// Queries a sharded engine could not scatter (a CLUSTER BY without the
+  /// shard attribute at its base level) and routed to its monolithic
+  /// fallback executor.
   uint64_t shard_fallbacks = 0;
   /// Distributed scatter (engine/remote_shard.h): shard RPC attempts beyond
   /// the first, hedged duplicate requests fired after the latency threshold,

@@ -1,12 +1,6 @@
 // Counter-based S-cuboid construction (paper §4.2.1, Fig. 7): scan every
 // sequence of every selected group, enumerate the template's occurrences,
-// and fold assignments into cuboid cells. Groups larger than a few
-// thousand sequences are partitioned across the engine's shared compute
-// pool (EngineOptions::cb_threads / exec_threads); each partition folds
-// into a private cuboid and the partials are merged in partition order —
-// COUNT/SUM/AVG/MIN/MAX all merge losslessly.
-#include <new>
-#include <thread>
+// and fold assignments into cuboid cells.
 #include <unordered_set>
 
 #include "solap/engine/engine.h"
@@ -14,9 +8,6 @@
 namespace solap {
 
 Status SOlapEngine::RunCounterBased(QueryContext& ctx) {
-  ThreadPool* pool = ComputePool();
-  const size_t hw =
-      std::max<size_t>(std::thread::hardware_concurrency(), 1);
   for (size_t gi : ctx.selected_groups) {
     SequenceGroup& group = ctx.groups->groups()[gi];
     TraceSpan group_span(ctx.trace, "cb.group");
@@ -27,61 +18,8 @@ Status SOlapEngine::RunCounterBased(QueryContext& ctx) {
                            ctx.spec->predicate, ctx.spec->placeholders));
     const Sid n = static_cast<Sid>(group.num_sequences());
     group_span.Count("sequences", n);
-    // Partition count: explicit cb_threads is clamped to the hardware
-    // (spawning more scanners than cores only adds merge work), 0 means
-    // "use the whole pool", and small groups stay sequential — a
-    // partition under ~1024 sequences is not worth a dispatch.
-    size_t threads = options_.cb_threads == 0
-                         ? (pool != nullptr ? pool->num_threads() : 1)
-                         : std::min<size_t>(options_.cb_threads, hw);
-    threads = std::min<size_t>(threads, n / 1024 + 1);
-    group_span.Count("threads", threads);
-    if (threads <= 1 || pool == nullptr) {
-      SOLAP_RETURN_NOT_OK(
-          CounterScanRange(ctx, group, bp, 0, n, ctx.cuboid, ctx.stats));
-      continue;
-    }
-    // Partition the group over the shared pool; tasks only touch their
-    // private cuboid/stats (symbol views and slice codes were materialized
-    // by Bind above, so the shared state is read-only during the scan).
-    std::vector<SCuboid> partials(
-        threads, SCuboid(ctx.cuboid->dims(), ctx.cuboid->agg()));
-    std::vector<ScanStats> partial_stats(threads);
-    std::vector<Status> results(threads);
-    {
-      TaskBatch batch(pool);
-      const Sid chunk = (n + static_cast<Sid>(threads) - 1) /
-                        static_cast<Sid>(threads);
-      const int parent_span = group_span.id();
-      for (size_t t = 0; t < threads; ++t) {
-        Sid begin = static_cast<Sid>(t) * chunk;
-        Sid end = std::min<Sid>(begin + chunk, n);
-        batch.Submit([this, &ctx, &group, &bp, &partials, &partial_stats,
-                      &results, t, begin, end, parent_span] {
-          // Pool threads have no open frame; parent the shard explicitly.
-          TraceSpan shard_span(ctx.trace, "cb.shard", parent_span);
-          shard_span.Count("begin", begin);
-          shard_span.Count("end", end);
-          // bad_alloc escaping a pool worker would terminate the process;
-          // turn it into a Status the query boundary can report.
-          try {
-            results[t] = CounterScanRange(ctx, group, bp, begin, end,
-                                          &partials[t], &partial_stats[t]);
-          } catch (const std::bad_alloc&) {
-            results[t] = Status::ResourceExhausted(
-                "counter-based scan partition ran out of memory");
-          }
-        });
-      }
-      batch.Wait();
-    }
-    for (size_t t = 0; t < threads; ++t) {
-      SOLAP_RETURN_NOT_OK(results[t]);
-      *ctx.stats += partial_stats[t];
-      for (const auto& [key, cell] : partials[t].cells()) {
-        ctx.cuboid->MergeCell(key, cell);
-      }
-    }
+    SOLAP_RETURN_NOT_OK(
+        CounterScanRange(ctx, group, bp, 0, n, ctx.cuboid, ctx.stats));
   }
   return Status::OK();
 }

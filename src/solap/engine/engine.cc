@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <new>
 #include <optional>
-#include <thread>
 
 #include "solap/common/failpoint.h"
 #include "solap/engine/optimizer.h"
@@ -472,32 +471,6 @@ std::shared_ptr<const GroupIndexCache> SOlapEngine::FindIndexCache(
   std::lock_guard<std::mutex> lock(index_caches_mu_);
   auto it = index_caches_.find({set.id(), group_idx});
   return it == index_caches_.end() ? nullptr : it->second;
-}
-
-ThreadPool* SOlapEngine::ComputePool() {
-  std::lock_guard<std::mutex> lock(compute_pool_mu_);
-  if (!compute_pool_created_) {
-    compute_pool_created_ = true;
-    const size_t hw =
-        std::max<size_t>(std::thread::hardware_concurrency(), 1);
-    size_t n = options_.exec_threads;
-    if (n == 0) n = hw;
-    // CB partitioning shares this pool: an explicit cb_threads > 1 must
-    // still get workers even when exec_threads was left at its default
-    // (clamped to the hardware — see RunCounterBased).
-    n = std::max(n, std::min<size_t>(options_.cb_threads, hw));
-    if (n > 1) compute_pool_ = std::make_unique<ThreadPool>(n);
-  }
-  return compute_pool_.get();
-}
-
-JoinExecOptions SOlapEngine::JoinExec() {
-  JoinExecOptions exec;
-  exec.pool = ComputePool();
-  exec.parallel_min_lists = options_.parallel_min_lists;
-  exec.parallel_min_work = options_.parallel_min_work;
-  exec.governor = &governor_;
-  return exec;
 }
 
 }  // namespace solap

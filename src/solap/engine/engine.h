@@ -22,7 +22,6 @@
 #include "solap/common/stats.h"
 #include "solap/common/status.h"
 #include "solap/common/stop.h"
-#include "solap/common/thread_pool.h"
 #include "solap/common/trace.h"
 #include "solap/cube/cuboid.h"
 #include "solap/cube/cuboid_repository.h"
@@ -64,26 +63,16 @@ struct EngineOptions {
   /// Disables inverted-index reuse across queries — every II query then
   /// rebuilds from scratch (used by benchmarks to isolate reuse benefits).
   bool enable_index_cache = true;
-  /// Counter-based scans partition each group across this many threads
-  /// (per-thread cuboids merged at the end). 1 = sequential.
-  size_t cb_threads = 1;
-  /// Workers in the engine's shared compute pool, used by CB scan
-  /// partitions and parallel II joins/merges. 0 = hardware concurrency;
-  /// 1 = no pool, everything runs on the calling thread. The pool is
-  /// created lazily on first use and is distinct from any service-layer
-  /// pool, so a service worker blocking in a join can never starve it.
+  /// Workers of a ShardedEngine's scatter pool, which runs the shards of
+  /// one query concurrently (clamped to the shard count). 0 = hardware
+  /// concurrency; 1 = the shards run one after another on the calling
+  /// thread. Plain SOlapEngine ignores this: a shard-local query runs on
+  /// the thread that issued it.
   size_t exec_threads = 1;
-  /// Joins/merges with fewer lists than this stay serial even when a pool
-  /// exists (fan-out overhead would dominate).
-  size_t parallel_min_lists = 64;
-  /// Joins/merges whose total posting-list work (sum of input list entries)
-  /// is below this also stay serial — many tiny lists clear the list cutoff
-  /// yet each shard finishes in microseconds, and the fork/join overhead
-  /// made parallel QA1 slower than the scalar II path.
-  size_t parallel_min_work = size_t{1} << 14;
   /// Number of shard-local executors a ShardedEngine partitions the data
-  /// into (engine/sharded_engine.h). 1 = one monolithic engine, bit-identical
-  /// to the legacy single-engine path. Plain SOlapEngine ignores this.
+  /// into (engine/sharded_engine.h). 1 = one executor that answers every
+  /// query directly, with no scatter or gather. Plain SOlapEngine ignores
+  /// this.
   size_t shards = 1;
   /// Table-backed sharding: the string column whose base-level code decides
   /// which shard owns a sequence. Queries whose CLUSTER BY does not include
@@ -371,8 +360,8 @@ class SOlapEngine {
   // CB strategy (engine/counter_based.cc).
   Status RunCounterBased(QueryContext& ctx);
   /// Scans sequences [begin, end) of one group, folding assignments into
-  /// `cuboid` and counting into `stats` — the unit shared by sequential
-  /// CB, multi-threaded CB (per-thread cuboids) and online aggregation.
+  /// `cuboid` and counting into `stats` — the unit shared by the CB scan,
+  /// online aggregation and the cuboid delta patch (engine/ingest.cc).
   Status CounterScanRange(const QueryContext& ctx, SequenceGroup& group,
                           const BoundPattern& bp, Sid begin, Sid end,
                           SCuboid* cuboid, ScanStats* stats) const;
@@ -439,14 +428,6 @@ class SOlapEngine {
   void MergerLoop();
   void StopMerger();
 
-  /// The engine's lazily-created compute pool, or nullptr when
-  /// options_.exec_threads resolves to a single thread. Thread-safe.
-  ThreadPool* ComputePool();
-
-  /// Join/merge execution knobs derived from options_ (includes the
-  /// compute pool when one is configured).
-  JoinExecOptions JoinExec();
-
   /// Folds one execution's counters into the engine totals.
   void MergeStats(const ScanStats& delta) {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -488,10 +469,6 @@ class SOlapEngine {
   std::map<std::pair<uint64_t, size_t>, std::shared_ptr<GroupIndexCache>>
       index_caches_;
   mutable std::mutex index_caches_mu_;
-  // Shared intra-query compute pool (see EngineOptions::exec_threads).
-  std::unique_ptr<ThreadPool> compute_pool_;
-  bool compute_pool_created_ = false;
-  std::mutex compute_pool_mu_;
   ScanStats stats_;
   mutable std::mutex stats_mu_;
 };

@@ -193,8 +193,7 @@ Result<std::shared_ptr<InvertedIndex>> SOlapEngine::ObtainIndex(
       SOLAP_ASSIGN_OR_RETURN(
           std::shared_ptr<InvertedIndex> merged,
           RollUpMerge(*rollup_src, maps, target, filtered ? &tmpl : nullptr,
-                      filtered ? &bp.fixed_codes() : nullptr, stats,
-                      JoinExec()));
+                      filtered ? &bp.fixed_codes() : nullptr, stats));
       AttachStatsDelta(span, before, *stats);
       if (filtered) {
         merged->set_constraint_sig(full_sig);
@@ -363,7 +362,7 @@ Result<std::shared_ptr<InvertedIndex>> SOlapEngine::ObtainIndex(
       span.Note("direction", "right");
       SOLAP_ASSIGN_OR_RETURN(
           current,
-          JoinExtendRight(*current, *l2, tmpl, 0, bp, stats, JoinExec()));
+          JoinExtendRight(*current, *l2, tmpl, 0, bp, stats, &governor_));
       AttachStatsDelta(span, before, *stats);
     } else {
       const size_t off = m - k - 1;
@@ -374,7 +373,7 @@ Result<std::shared_ptr<InvertedIndex>> SOlapEngine::ObtainIndex(
       span.Note("direction", "left");
       SOLAP_ASSIGN_OR_RETURN(
           current,
-          JoinExtendLeft(*current, *l2, tmpl, off, bp, stats, JoinExec()));
+          JoinExtendLeft(*current, *l2, tmpl, off, bp, stats, &governor_));
       AttachStatsDelta(span, before, *stats);
     }
     ++k;

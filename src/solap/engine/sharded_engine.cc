@@ -87,11 +87,8 @@ void ShardedEngine::BuildShards() {
     return;
   }
 
-  // Per-shard executors run serially (the scatter is the parallelism) with
-  // an even split of the memory budget and of the cuboid repository: each
-  // shard caches the partials it computes.
-  shard_opts.exec_threads = 1;
-  shard_opts.cb_threads = 1;
+  // Per-shard executors get an even split of the memory budget and of the
+  // cuboid repository: each shard caches the partials it computes.
   shard_opts.repository_capacity_bytes = options_.repository_capacity_bytes / n;
   shard_opts.memory_budget_bytes = options_.memory_budget_bytes / n;
 
@@ -274,6 +271,15 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::ExecuteScatter(
   std::vector<std::shared_ptr<const SCuboid>> partials(n);
   std::vector<ScanStats> shard_stats(n);
   std::vector<Status> shard_status(n, Status::OK());
+  // One in-process shard execution: the scatter's own path, and the local
+  // re-execution of a slice whose remote shard is unavailable.
+  auto run_local = [&](size_t i, ScanStats* shard_stats_out) {
+    ExecControl sub;
+    sub.stop = control.stop;
+    sub.stats_out = shard_stats_out;
+    sub.trace = trace;
+    return shards_[i]->Execute(shard_spec, strategy, sub);
+  };
 
   {
     TraceSpan scatter(trace, "shard.scatter");
@@ -308,11 +314,7 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::ExecuteScatter(
           }
           return;
         }
-        ExecControl sub;
-        sub.stop = control.stop;
-        sub.stats_out = &shard_stats[i];
-        sub.trace = trace;
-        auto r = shards_[i]->Execute(shard_spec, strategy, sub);
+        auto r = run_local(i, &shard_stats[i]);
         if (r.ok()) {
           partials[i] = *r;
           span.Count("cells", partials[i]->num_cells());
@@ -345,11 +347,7 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::ExecuteScatter(
       TraceSpan span(trace, "shard.local_fallback");
       span.Count("shard", i);
       ScanStats local_stats;
-      ExecControl sub;
-      sub.stop = control.stop;
-      sub.stats_out = &local_stats;
-      sub.trace = trace;
-      auto r = shards_[i]->Execute(shard_spec, strategy, sub);
+      auto r = run_local(i, &local_stats);
       *stats += local_stats;
       if (r.ok()) {
         partials[i] = *r;

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "solap/common/thread_pool.h"
 #include "solap/engine/engine.h"
 #include "solap/engine/remote_shard.h"
 

@@ -74,17 +74,6 @@ Code ConceptHierarchy::LookupLabel(int level, const std::string& label) const {
   return level_dicts_[level]->Lookup(label);
 }
 
-std::vector<Code> ConceptHierarchy::BaseCodesOf(int level,
-                                                Code parent_code) const {
-  std::vector<Code> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::vector<Code>& compiled = base_to_level_[level];
-  for (size_t c = 0; c < compiled.size(); ++c) {
-    if (compiled[c] == parent_code) out.push_back(static_cast<Code>(c));
-  }
-  return out;
-}
-
 std::vector<Code> ConceptHierarchy::LevelToLevel(const Dictionary& base_dict,
                                                  int from_level,
                                                  int to_level) {

@@ -55,11 +55,6 @@ class ConceptHierarchy {
   /// up to it.
   Code LookupLabel(int level, const std::string& label) const;
 
-  /// Base codes that roll up to `parent_code` at `level` — the refinement
-  /// used by P-DRILL-DOWN list splitting. Only base codes already seen by
-  /// MapBaseCode are returned.
-  std::vector<Code> BaseCodesOf(int level, Code parent_code) const;
-
   /// Compiles the mapping from codes at `from_level` to codes at `to_level`
   /// (`from_level` < `to_level`), covering every value currently in
   /// `base_dict`. `table[c]` is the to-level code of from-level code c.

@@ -1,9 +1,7 @@
 #include "solap/index/index_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <new>
 #include <unordered_set>
 #include <utility>
 
@@ -89,18 +87,6 @@ bool ContainsWindow(const BoundPattern& bp, Sid s, const PatternKey& key,
 
 namespace {
 
-// One partition's output: surviving (key, list) pairs in processing order
-// plus the partition's private counters. Keeping results in a vector (not
-// a map) lets the merge phase replay the exact serial insertion order.
-struct JoinShardOut {
-  std::vector<std::pair<PatternKey, SidList>> lists;
-  ScanStats stats;
-  // bad_alloc inside a pool worker would escape the task and terminate the
-  // process; shards capture it here and the join fails with a Status the
-  // engine can degrade on.
-  Status status;
-};
-
 // Transient reservation against the engine budget, released when the join
 // scope unwinds (including via exceptions).
 struct ScratchCharge {
@@ -114,35 +100,32 @@ struct ScratchCharge {
 // Shared implementation of both join directions. `grow_right` selects which
 // operand contributes the new position.
 //
-// Phases: (1) bucket L2 lists by the shared-position code; (2) partition
-// the window-consistent base lists across the pool (when both the list-
-// count and total-work cutoffs pass), each shard intersecting container
-// lists with per-pair kernel dispatch into reusable scratch buffers;
-// (3) merge shard outputs in shard order — output keys embed their base
-// key, so shards never collide and the merged map's insertion order equals
-// the serial path's. Dense chunks are bitmap containers already, so no
-// per-join bitmap encoding pass is needed.
+// Phases: (1) bucket L2 lists by the shared-position code; (2) walk the
+// window-consistent base lists in index order, intersecting container
+// lists with per-pair kernel dispatch into reusable scratch buffers, and
+// emit each verified list straight into the result. Dense chunks are
+// bitmap containers already, so no per-join bitmap encoding pass is
+// needed.
 Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
     const InvertedIndex& base, const InvertedIndex& l2,
     const PatternTemplate& tmpl, size_t offset, const BoundPattern& bp,
-    bool grow_right, ScanStats* stats, const JoinExecOptions& exec) {
+    bool grow_right, ScanStats* stats, MemoryGovernor* governor) {
   if (l2.shape().size() != 2) {
     return Status::InvalidArgument("join extension requires a size-2 index, "
                                    "got size " +
                                    std::to_string(l2.shape().size()));
   }
   SOLAP_FAILPOINT("index.join");
-  // Reserve the join's working set — shard outputs and the result index are all proportional to the inputs — against the
-  // engine budget for the duration of the join. A rejected reservation
-  // fails the join with ResourceExhausted and the engine re-executes the
-  // query on the counter-based path.
+  // Reserve the join's working set — the result index is proportional to
+  // the inputs — against the engine budget for the duration of the join.
+  // A rejected reservation fails the join with ResourceExhausted and the
+  // engine re-executes the query on the counter-based path.
   ScratchCharge scratch;
-  if (exec.governor != nullptr) {
+  if (governor != nullptr) {
     SOLAP_FAILPOINT("join.scratch");
     const size_t estimate = base.ByteSize() + l2.ByteSize();
-    SOLAP_RETURN_NOT_OK(
-        exec.governor->TryCharge(estimate, "II join scratch"));
-    scratch.governor = exec.governor;
+    SOLAP_RETURN_NOT_OK(governor->TryCharge(estimate, "II join scratch"));
+    scratch.governor = governor;
     scratch.bytes = estimate;
   }
   const size_t k = base.shape().size();
@@ -153,34 +136,13 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
   out_shape.kind = base.shape().kind;
   const size_t base_win_offset = grow_right ? offset : offset + 1;
 
-  // Base lists that survive the window pre-filter, in map order (the
-  // serial processing order, which the merge phase reproduces), plus the
-  // total entry count feeding the work-size cutoff. An input carrying an
-  // unmerged delta segment (streaming ingestion) contributes its LOGICAL
-  // lists: base and delta pointers travel together and the intersection
-  // runs the two-segment path; without deltas the pointers are null and
-  // the hot path is byte-identical to the pre-ingestion code.
-  struct BaseEntry {
-    const PatternKey* key;
-    const SidList* base;   // may be null (delta-only key)
-    const SidList* delta;  // null when the key has no unmerged delta
-  };
-  std::vector<BaseEntry> base_entries;
-  base_entries.reserve(base.num_lists());
-  size_t total_base_work = 0;
-  base.ForEachLogicalList([&](const PatternKey& key, const SidList* blist,
-                              const SidList* dlist) {
-    if (!WindowConsistent(tmpl, base_win_offset, key, bp.fixed_codes())) {
-      return;
-    }
-    base_entries.push_back(BaseEntry{&key, blist, dlist});
-    total_base_work += (blist != nullptr ? blist->size() : 0) +
-                       (dlist != nullptr ? dlist->size() : 0);
-  });
-
   // Bucket the L2 lists by the code on the shared position. Dense chunks
   // of a SidList are bitmap containers already — the one-time encoding the
   // flat representation needed per join is now part of the index itself.
+  // An input carrying an unmerged delta segment (streaming ingestion)
+  // contributes its LOGICAL lists: base and delta pointers travel together
+  // and the intersection runs the two-segment path; without deltas the
+  // delta pointers are null and the hot path is the single-segment one.
   struct L2Entry {
     Code grown;
     const SidList* list;   // may be null (delta-only key)
@@ -195,109 +157,67 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
   });
 
   auto out = std::make_shared<InvertedIndex>(out_shape, /*complete=*/false);
-
-  // Intersect+verify every (base list, L2 entry) pair of one partition.
-  auto shard_range = [&](size_t begin, size_t end, JoinShardOut& shard) {
-    PatternKey out_key(out_len);
-    std::vector<Sid> candidates, verified;  // reused across pairs
-    for (size_t i = begin; i < end; ++i) {
-      const PatternKey& key = *base_entries[i].key;
-      const SidList* blist = base_entries[i].base;
-      const SidList* bdelta = base_entries[i].delta;
-      Code shared = grow_right ? key.back() : key.front();
-      auto it = by_shared.find(shared);
-      if (it == by_shared.end()) continue;
-      for (const L2Entry& l2e : it->second) {
-        if (grow_right) {
-          std::copy(key.begin(), key.end(), out_key.begin());
-          out_key.back() = l2e.grown;
-        } else {
-          out_key.front() = l2e.grown;
-          std::copy(key.begin(), key.end(), out_key.begin() + 1);
-        }
-        if (!WindowConsistent(tmpl, offset, out_key, bp.fixed_codes())) {
-          continue;
-        }
-        // Kernel dispatch happens per container pair inside
-        // IntersectSidLists; the per-pair tally is folded into the
-        // linear/galloping/bitmap counters so EXPLAIN ANALYZE still
-        // reports the per-join kernel mix.
-        ContainerOpCounts ops;
-        if (bdelta != nullptr || l2e.delta != nullptr || blist == nullptr ||
-            l2e.list == nullptr) {
-          // Two-segment read path: either side has an unmerged delta, so
-          // all four base/delta cross terms participate.
-          IntersectSegmented(blist, bdelta, l2e.list, l2e.delta, candidates,
-                             &ops);
-        } else {
-          IntersectSidLists(*blist, *l2e.list, candidates, &ops);
-        }
-        if (ops.bitmap_ops > 0) {
-          ++shard.stats.intersections_bitmap;
-        } else if (ops.gallop_ops > 0) {
-          ++shard.stats.intersections_galloping;
-        } else {
-          ++shard.stats.intersections_linear;
-        }
-        shard.stats.container_array_ops += ops.array_ops;
-        shard.stats.container_bitmap_ops += ops.bitmap_ops;
-        shard.stats.container_run_ops += ops.run_ops;
-        shard.stats.container_gallop_ops += ops.gallop_ops;
-        ++shard.stats.list_intersections;
-        if (candidates.empty()) continue;
-        // "Scan the database to eliminate invalid entries" (Fig. 15 l. 9).
-        verified.clear();
-        for (Sid s : candidates) {
-          if (ContainsWindow(bp, s, out_key, offset)) verified.push_back(s);
-        }
-        shard.stats.sequences_scanned += candidates.size();
-        if (!verified.empty()) {
-          shard.lists.emplace_back(out_key, SidList::FromSorted(verified));
-        }
+  ScanStats local;
+  PatternKey out_key(out_len);
+  std::vector<Sid> candidates, verified;  // reused across pairs
+  // Intersect+verify every (base list, L2 entry) pair, in base-list order.
+  base.ForEachLogicalList([&](const PatternKey& key, const SidList* blist,
+                              const SidList* bdelta) {
+    if (!WindowConsistent(tmpl, base_win_offset, key, bp.fixed_codes())) {
+      return;
+    }
+    Code shared = grow_right ? key.back() : key.front();
+    auto it = by_shared.find(shared);
+    if (it == by_shared.end()) return;
+    for (const L2Entry& l2e : it->second) {
+      if (grow_right) {
+        std::copy(key.begin(), key.end(), out_key.begin());
+        out_key.back() = l2e.grown;
+      } else {
+        out_key.front() = l2e.grown;
+        std::copy(key.begin(), key.end(), out_key.begin() + 1);
+      }
+      if (!WindowConsistent(tmpl, offset, out_key, bp.fixed_codes())) {
+        continue;
+      }
+      // Kernel dispatch happens per container pair inside
+      // IntersectSidLists; the per-pair tally is folded into the
+      // linear/galloping/bitmap counters so EXPLAIN ANALYZE still reports
+      // the per-join kernel mix.
+      ContainerOpCounts ops;
+      if (bdelta != nullptr || l2e.delta != nullptr || blist == nullptr ||
+          l2e.list == nullptr) {
+        // Two-segment read path: either side has an unmerged delta, so all
+        // four base/delta cross terms participate.
+        IntersectSegmented(blist, bdelta, l2e.list, l2e.delta, candidates,
+                           &ops);
+      } else {
+        IntersectSidLists(*blist, *l2e.list, candidates, &ops);
+      }
+      if (ops.bitmap_ops > 0) {
+        ++local.intersections_bitmap;
+      } else if (ops.gallop_ops > 0) {
+        ++local.intersections_galloping;
+      } else {
+        ++local.intersections_linear;
+      }
+      local.container_array_ops += ops.array_ops;
+      local.container_bitmap_ops += ops.bitmap_ops;
+      local.container_run_ops += ops.run_ops;
+      local.container_gallop_ops += ops.gallop_ops;
+      ++local.list_intersections;
+      if (candidates.empty()) continue;
+      // "Scan the database to eliminate invalid entries" (Fig. 15 l. 9).
+      verified.clear();
+      for (Sid s : candidates) {
+        if (ContainsWindow(bp, s, out_key, offset)) verified.push_back(s);
+      }
+      local.sequences_scanned += candidates.size();
+      if (!verified.empty()) {
+        out->lists().emplace(out_key, SidList::FromSorted(verified));
       }
     }
-  };
-  auto run_shard = [&](size_t begin, size_t end, JoinShardOut& shard) {
-    try {
-      shard_range(begin, end, shard);
-    } catch (const std::bad_alloc&) {
-      shard.status =
-          Status::ResourceExhausted("II join shard ran out of memory");
-    }
-  };
-
-  const size_t n = base_entries.size();
-  // Both cutoffs must pass: enough lists to shard AND enough total work
-  // that each shard outruns its fork/join overhead (small or merge-
-  // dominated jobs used to go parallel and lose to the serial path).
-  const size_t workers =
-      exec.pool != nullptr && n >= exec.parallel_min_lists &&
-              total_base_work >= exec.parallel_min_work
-          ? std::min(exec.pool->num_threads(), n)
-          : 1;
-  std::vector<JoinShardOut> shards(std::max<size_t>(workers, 1));
-  if (workers <= 1) {
-    run_shard(0, n, shards[0]);
-  } else {
-    TaskBatch batch(exec.pool);
-    const size_t chunk = (n + workers - 1) / workers;
-    for (size_t w = 0; w < workers; ++w) {
-      const size_t begin = w * chunk;
-      const size_t end = std::min(begin + chunk, n);
-      if (begin >= end) break;
-      batch.Submit([&run_shard, &shards, w, begin, end] {
-        run_shard(begin, end, shards[w]);
-      });
-    }
-    batch.Wait();
-  }
-  for (JoinShardOut& shard : shards) {
-    SOLAP_RETURN_NOT_OK(shard.status);
-    for (auto& [key, list] : shard.lists) {
-      out->lists().emplace(std::move(key), std::move(list));
-    }
-    if (stats != nullptr) *stats += shard.stats;
-  }
+  });
 
   out->set_constraint_sig(
       WindowConstraintSig(tmpl, offset, out_len, bp.fixed_codes()));
@@ -306,6 +226,7 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
   out->set_complete(out->constraint_sig().empty() && base.complete() &&
                     l2.complete());
   if (stats != nullptr) {
+    *stats += local;
     stats->lists_built += out->num_lists();
     stats->index_bytes_built += out->ByteSize();
   }
@@ -317,24 +238,23 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
 Result<std::shared_ptr<InvertedIndex>> JoinExtendRight(
     const InvertedIndex& left, const InvertedIndex& l2,
     const PatternTemplate& tmpl, size_t offset, const BoundPattern& bp,
-    ScanStats* stats, const JoinExecOptions& exec) {
+    ScanStats* stats, MemoryGovernor* governor) {
   return JoinExtendImpl(left, l2, tmpl, offset, bp, /*grow_right=*/true,
-                        stats, exec);
+                        stats, governor);
 }
 
 Result<std::shared_ptr<InvertedIndex>> JoinExtendLeft(
     const InvertedIndex& right, const InvertedIndex& l2,
     const PatternTemplate& tmpl, size_t offset, const BoundPattern& bp,
-    ScanStats* stats, const JoinExecOptions& exec) {
+    ScanStats* stats, MemoryGovernor* governor) {
   return JoinExtendImpl(right, l2, tmpl, offset, bp, /*grow_right=*/false,
-                        stats, exec);
+                        stats, governor);
 }
 
 Result<std::shared_ptr<InvertedIndex>> RollUpMerge(
     const InvertedIndex& fine, const std::vector<std::vector<Code>>& maps,
     IndexShape coarse_shape, const PatternTemplate* tmpl,
-    const std::vector<std::vector<Code>>* fixed_codes, ScanStats* stats,
-    const JoinExecOptions& exec) {
+    const std::vector<std::vector<Code>>* fixed_codes, ScanStats* stats) {
   if (!fine.complete()) {
     return Status::InvalidArgument(
         "P-ROLL-UP list merging requires a complete index; template-filtered "
@@ -345,138 +265,54 @@ Result<std::shared_ptr<InvertedIndex>> RollUpMerge(
     return Status::InvalidArgument("roll-up maps must cover every position");
   }
   SOLAP_FAILPOINT("index.rollup");
-  ThreadPool* pool = exec.pool;
   auto out = std::make_shared<InvertedIndex>(std::move(coarse_shape),
                                              /*complete=*/true);
   // Group the fine lists by coarse target, then union each target's
   // sources with one k-way container merge (UnionManySidLists) — no flat
-  // append + re-sort pass. The key mapping and the per-target unions are
-  // embarrassingly parallel; targets are keyed serially in the fine map's
-  // iteration order, so the output's insertion order matches a serial
-  // merge exactly.
-  // A delta segment folds in naturally here: its lists enter the entry set
-  // as additional union sources (the k-way merge dedups), so a not-yet-
-  // compacted index rolls up to the same coarse lists a merged one would.
-  struct FineEntry {
-    const PatternKey* key;
-    const SidList* list;
-  };
-  std::vector<FineEntry> entries;
-  entries.reserve(fine.num_lists() + fine.delta().size());
-  size_t total_work = 0;
-  for (const auto& entry : fine.lists()) {
-    entries.push_back(FineEntry{&entry.first, &entry.second});
-    total_work += entry.second.size();
-  }
-  for (const auto& entry : fine.delta()) {
-    entries.push_back(FineEntry{&entry.first, &entry.second});
-    total_work += entry.second.size();
-  }
-  const size_t n = entries.size();
-
-  // Phase 1 (parallel): map every fine key to its coarse key and apply the
-  // slice filter.
-  std::vector<PatternKey> coarse_keys(n);
-  std::vector<uint8_t> keep(n, 1);
-  // Workers allocate (key copies); bad_alloc must not escape into the pool.
-  std::atomic<bool> shard_oom{false};
-  auto map_range = [&](size_t begin, size_t end) {
-    try {
-      for (size_t i = begin; i < end; ++i) {
-        const PatternKey& key = *entries[i].key;
-        PatternKey& ck = coarse_keys[i];
-        ck = key;
-        for (size_t p = 0; p < key.size(); ++p) {
-          const std::vector<Code>& map = maps[p];
-          if (!map.empty() && key[p] < map.size()) ck[p] = map[key[p]];
-        }
-        if (tmpl != nullptr && fixed_codes != nullptr &&
-            !WindowConsistent(*tmpl, 0, ck, *fixed_codes)) {
-          keep[i] = 0;  // outside the sliced subcube
-        }
-      }
-    } catch (const std::bad_alloc&) {
-      shard_oom.store(true, std::memory_order_relaxed);
-    }
-  };
-
-  // Same two-part cutoff as the joins: enough lists AND enough total
-  // posting-list work to amortize the fan-out.
-  const size_t workers =
-      pool != nullptr && n >= std::max<size_t>(exec.parallel_min_lists, 64) &&
-              total_work >= exec.parallel_min_work
-          ? std::min(pool->num_threads(), n)
-          : 1;
-  if (workers <= 1) {
-    map_range(0, n);
-  } else {
-    TaskBatch batch(pool);
-    const size_t chunk = (n + workers - 1) / workers;
-    for (size_t begin = 0; begin < n; begin += chunk) {
-      const size_t end = std::min(begin + chunk, n);
-      batch.Submit([&map_range, begin, end] { map_range(begin, end); });
-    }
-    batch.Wait();
-  }
-  if (shard_oom.load(std::memory_order_relaxed)) {
-    return Status::ResourceExhausted("P-ROLL-UP merge ran out of memory");
-  }
-
-  // Phase 2 (serial): key every coarse target in fine-map order and gather
-  // each target's source lists. unordered_map nodes are stable, so the
-  // target pointers survive later insertions.
+  // append + re-sort pass. Targets are keyed in the fine map's iteration
+  // order (base lists, then delta lists).
+  // A delta segment folds in naturally here: its lists enter as additional
+  // union sources (the k-way merge dedups), so a not-yet-compacted index
+  // rolls up to the same coarse lists a merged one would.
   out->lists().reserve(fine.num_lists() / 4 + 1);
   std::unordered_map<PatternKey, size_t, CodeVecHash> slot_of;
   std::vector<SidList*> targets;
   std::vector<std::vector<const SidList*>> sources;
-  for (size_t i = 0; i < n; ++i) {
-    if (!keep[i]) continue;
-    auto [it, inserted] = slot_of.try_emplace(coarse_keys[i], targets.size());
+  PatternKey ck;
+  auto add_source = [&](const PatternKey& key, const SidList& list) {
+    // Map every fine key to its coarse key and apply the slice filter.
+    ck = key;
+    for (size_t p = 0; p < key.size(); ++p) {
+      const std::vector<Code>& map = maps[p];
+      if (!map.empty() && key[p] < map.size()) ck[p] = map[key[p]];
+    }
+    if (tmpl != nullptr && fixed_codes != nullptr &&
+        !WindowConsistent(*tmpl, 0, ck, *fixed_codes)) {
+      return;  // outside the sliced subcube
+    }
+    // unordered_map nodes are stable, so the target pointers survive later
+    // insertions.
+    auto [it, inserted] = slot_of.try_emplace(ck, targets.size());
     if (inserted) {
-      targets.push_back(&out->lists()[coarse_keys[i]]);
+      targets.push_back(&out->lists()[ck]);
       sources.emplace_back();
     }
-    sources[it->second].push_back(entries[i].list);
-  }
-
-  // Phase 3 (parallel): k-way container union per target.
-  const size_t t = targets.size();
-  std::vector<ContainerOpCounts> union_counts(
-      std::max<size_t>(workers, 1));
-  auto finish_range = [&](size_t begin, size_t end, size_t w) {
-    try {
-      for (size_t i = begin; i < end; ++i) {
-        *targets[i] = UnionManySidLists(sources[i], &union_counts[w]);
-      }
-    } catch (const std::bad_alloc&) {
-      shard_oom.store(true, std::memory_order_relaxed);
-    }
+    sources[it->second].push_back(&list);
   };
-  if (workers <= 1 || t < 64) {
-    finish_range(0, t, 0);
-  } else {
-    TaskBatch batch(pool);
-    const size_t chunk = (t + workers - 1) / workers;
-    size_t w = 0;
-    for (size_t begin = 0; begin < t; begin += chunk, ++w) {
-      const size_t end = std::min(begin + chunk, t);
-      batch.Submit([&finish_range, begin, end, w] {
-        finish_range(begin, end, w);
-      });
-    }
-    batch.Wait();
-  }
-  if (shard_oom.load(std::memory_order_relaxed)) {
-    return Status::ResourceExhausted("P-ROLL-UP merge ran out of memory");
+  for (const auto& [key, list] : fine.lists()) add_source(key, list);
+  for (const auto& [key, list] : fine.delta()) add_source(key, list);
+
+  // k-way container union per target.
+  ContainerOpCounts union_counts;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    *targets[i] = UnionManySidLists(sources[i], &union_counts);
   }
 
   if (stats != nullptr) {
-    for (const ContainerOpCounts& c : union_counts) {
-      stats->container_array_ops += c.array_ops;
-      stats->container_bitmap_ops += c.bitmap_ops;
-      stats->container_run_ops += c.run_ops;
-      stats->container_gallop_ops += c.gallop_ops;
-    }
+    stats->container_array_ops += union_counts.array_ops;
+    stats->container_bitmap_ops += union_counts.bitmap_ops;
+    stats->container_run_ops += union_counts.run_ops;
+    stats->container_gallop_ops += union_counts.gallop_ops;
     stats->lists_built += out->num_lists();
     stats->index_bytes_built += out->ByteSize();
   }

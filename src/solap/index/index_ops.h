@@ -11,36 +11,10 @@
 #include "solap/common/mem_budget.h"
 #include "solap/common/stats.h"
 #include "solap/common/status.h"
-#include "solap/common/thread_pool.h"
 #include "solap/index/inverted_index.h"
 #include "solap/pattern/matcher.h"
 
 namespace solap {
-
-/// Execution knobs shared by the index-join operators (see
-/// DESIGN.md "II execution").
-struct JoinExecOptions {
-  /// Joins and merges partition their list work across this pool
-  /// (nullptr = serial). Partition merge order is deterministic, so
-  /// results are identical to the serial path.
-  ThreadPool* pool = nullptr;
-  /// List-count cutoff (EngineOptions::parallel_min_lists): joins with
-  /// fewer base lists than this stay serial. Since PR 7 it is paired with
-  /// `parallel_min_work` below — the count alone misjudged many-tiny-list
-  /// joins, so both cutoffs must pass for a job to go parallel.
-  size_t parallel_min_lists = 64;
-  /// Joins and merges whose total posting-list work (sum of input list
-  /// entries) is below this also stay serial: many tiny lists fan out past
-  /// `parallel_min_lists` yet each shard finishes in microseconds, and the
-  /// fork/join + shard-merge overhead made parallel QA1 slower than the
-  /// scalar II path. Both cutoffs must pass for a job to go parallel.
-  size_t parallel_min_work = size_t{1} << 14;
-  /// Engine-wide memory budget. Joins transiently charge an estimate of
-  /// their scratch (shard outputs + output lists) before fanning out and
-  /// release it after the merge; a rejected charge fails the join with
-  /// ResourceExhausted, which the engine degrades to the CB path.
-  MemoryGovernor* governor = nullptr;
-};
 
 /// True if template window [offset, offset+len) carries constraints that
 /// filter the instantiation space: a repeated symbol with both occurrences
@@ -76,21 +50,23 @@ bool ContainsWindow(const BoundPattern& bp, Sid s, const PatternKey& key,
 ///
 /// Intersections run on the lists' container representation directly
 /// (index/container.h): dense chunks are already bitmap-encoded, so each
-/// container pair dispatches its kernel by kind. Base lists are
-/// partitioned across `exec.pool` (when both parallel cutoffs pass) with a
-/// deterministic merge — the parallel result is identical to the serial
-/// one.
+/// container pair dispatches its kernel by kind.
+///
+/// When `governor` is set, the join charges an estimate of its scratch
+/// (the size of both inputs) against it for its duration; a rejected
+/// charge fails the join with ResourceExhausted, which the engine degrades
+/// to the CB path.
 Result<std::shared_ptr<InvertedIndex>> JoinExtendRight(
     const InvertedIndex& left, const InvertedIndex& l2,
     const PatternTemplate& tmpl, size_t offset, const BoundPattern& bp,
-    ScanStats* stats, const JoinExecOptions& exec = {});
+    ScanStats* stats, MemoryGovernor* governor = nullptr);
 
 /// Mirror image for PREPEND: `right` covers [offset+1, offset+1+k), `l2`
 /// covers [offset, offset+2); the result covers [offset, offset+1+k).
 Result<std::shared_ptr<InvertedIndex>> JoinExtendLeft(
     const InvertedIndex& right, const InvertedIndex& l2,
     const PatternTemplate& tmpl, size_t offset, const BoundPattern& bp,
-    ScanStats* stats, const JoinExecOptions& exec = {});
+    ScanStats* stats, MemoryGovernor* governor = nullptr);
 
 /// P-ROLL-UP list merging: unions fine-level lists whose keys coincide
 /// after mapping each position through `maps` (empty vector = identity for
@@ -104,14 +80,11 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendLeft(
 /// The merge itself is a k-way container union per coarse key
 /// (UnionManySidLists): single-source containers are copied, multi-source
 /// ones OR-ed through a bitmap accumulator — no flat append + re-sort.
-/// With `exec.pool` (and both parallel cutoffs passing), key mapping and
-/// the per-target unions are partitioned across workers; targets are keyed
-/// in the serial order, so the result is identical to a serial merge.
+/// Coarse targets are keyed in the fine index's list order.
 Result<std::shared_ptr<InvertedIndex>> RollUpMerge(
     const InvertedIndex& fine, const std::vector<std::vector<Code>>& maps,
     IndexShape coarse_shape, const PatternTemplate* tmpl,
-    const std::vector<std::vector<Code>>* fixed_codes, ScanStats* stats,
-    const JoinExecOptions& exec = {});
+    const std::vector<std::vector<Code>>* fixed_codes, ScanStats* stats);
 
 /// P-DRILL-DOWN list refinement: splits each coarse list into fine-level
 /// lists by re-scanning its member sequences. `bp_fine` must be bound to

@@ -147,8 +147,6 @@ struct LocalCluster {
     });
     // The per-shard options a coordinator and shard_main give each slice.
     EngineOptions opts;
-    opts.exec_threads = 1;
-    opts.cb_threads = 1;
     opts.repository_capacity_bytes = opts.repository_capacity_bytes / n;
     for (size_t i = 0; i < n; ++i) {
       engines.push_back(std::make_unique<SOlapEngine>(

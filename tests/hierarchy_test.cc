@@ -67,13 +67,6 @@ TEST_F(HierarchyTest, LazyExtensionOnDictionaryGrowth) {
   (void)d1;
 }
 
-TEST_F(HierarchyTest, BaseCodesOfInvertsTheMapping) {
-  Code d10 = h_.MapBaseCode(dict_, 1, 0);
-  (void)h_.MapBaseCode(dict_, 1, 2);  // populate the rest
-  std::vector<Code> bases = h_.BaseCodesOf(1, d10);
-  EXPECT_EQ(bases.size(), 2u);  // Pentagon, Clarendon
-}
-
 TEST_F(HierarchyTest, LevelToLevelTable) {
   std::vector<Code> table = h_.LevelToLevel(dict_, 1, 2);
   Code d10 = h_.MapBaseCode(dict_, 1, 0);

@@ -408,56 +408,6 @@ TEST(AutoProperty, AutoSessionMatchesCounterBased) {
   }
 }
 
-// Multi-threaded counter-based scans must produce the same cuboid as the
-// sequential scan, for COUNT and for merged SUM/MIN/MAX state.
-TEST(ParallelScanProperty, ThreadedCounterBasedEqualsSequential) {
-  SyntheticParams p;
-  p.num_sequences = 5000;  // enough to cross the per-thread minimum
-  p.num_symbols = 15;
-  p.mean_length = 8;
-  SyntheticData data = GenerateSynthetic(p);
-  CuboidSpec spec;
-  spec.symbols = {"X", "Y"};
-  spec.dims = {PatternDim{"X", {SyntheticData::kAttr, "symbol"}, {}, ""},
-               PatternDim{"Y", {SyntheticData::kAttr, "symbol"}, {}, ""}};
-  EngineOptions threaded;
-  threaded.cb_threads = 4;
-  SOlapEngine seq_engine(data.groups, data.hierarchies.get());
-  SOlapEngine par_engine(data.groups, data.hierarchies.get(), threaded);
-  auto a = seq_engine.Execute(spec, ExecStrategy::kCounterBased);
-  auto b = par_engine.Execute(spec, ExecStrategy::kCounterBased);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectCuboidsEqual(**a, **b, "threaded CB");
-  // Stats accumulate across threads: every sequence scanned exactly once.
-  EXPECT_EQ(par_engine.stats().sequences_scanned, 5000u);
-
-  // SUM over a table-backed workload, all restrictions.
-  TransitParams tp;
-  tp.num_passengers = 3000;
-  tp.num_days = 1;
-  TransitData transit = GenerateTransit(tp);
-  CuboidSpec sum_spec;
-  sum_spec.agg = AggKind::kSum;
-  sum_spec.measure = "amount";
-  sum_spec.seq.cluster_by = {{"card-id", "individual"}};
-  sum_spec.seq.sequence_by = "time";
-  sum_spec.symbols = {"X", "Y"};
-  sum_spec.dims = {PatternDim{"X", {"location", "station"}, {}, ""},
-                   PatternDim{"Y", {"location", "station"}, {}, ""}};
-  SOlapEngine ts(transit.table.get(), transit.hierarchies.get());
-  SOlapEngine tp4(transit.table.get(), transit.hierarchies.get(), threaded);
-  auto sa = ts.Execute(sum_spec, ExecStrategy::kCounterBased);
-  auto sb = tp4.Execute(sum_spec, ExecStrategy::kCounterBased);
-  ASSERT_TRUE(sa.ok() && sb.ok());
-  for (const auto& [key, cell] : (*sa)->cells()) {
-    CellValue other = (*sb)->CellAt(key);
-    EXPECT_EQ(other.count, cell.count);
-    EXPECT_NEAR(other.sum, cell.sum, 1e-9);
-    EXPECT_NEAR(other.min, cell.min, 1e-9);
-    EXPECT_NEAR(other.max, cell.max, 1e-9);
-  }
-}
-
 // Subsequence matcher against a brute-force oracle on tiny alphabets.
 TEST(MatcherOracleProperty, SubsequenceCountsMatchBruteForce) {
   std::mt19937_64 rng(7);

@@ -276,6 +276,25 @@ TEST(ShardedEngine, TransitSumMergesExactlyUpToReassociation) {
   EXPECT_EQ(four.StatsSnapshot().shard_scatters, 1u);
   EXPECT_EQ(one.StatsSnapshot().sequences_scanned,
             four.StatsSnapshot().sequences_scanned);
+
+  // The scatter pool's size must not change the answer: partials fold in
+  // shard order whichever worker computed them, so running the four shards
+  // one after another gives bit-identical SUM, MIN and MAX state.
+  EngineOptions inline_opts = sharded_opts;
+  inline_opts.exec_threads = 1;
+  ShardedEngine four_inline(transit.table.get(), transit.hierarchies.get(),
+                            inline_opts);
+  auto c = four_inline.Execute(spec, ExecStrategy::kCounterBased);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  ASSERT_EQ((*b)->num_cells(), (*c)->num_cells());
+  for (const auto& [key, cell] : (*b)->cells()) {
+    CellValue other = (*c)->CellAt(key);
+    EXPECT_EQ(cell.count, other.count);
+    EXPECT_EQ(cell.sum, other.sum);  // exact, not near
+    EXPECT_EQ(cell.min, other.min);
+    EXPECT_EQ(cell.max, other.max);
+  }
+  EXPECT_EQ(four_inline.StatsSnapshot().shard_scatters, 1u);
 }
 
 // CLUSTER BY at a coarser level than the shard-by attribute could group

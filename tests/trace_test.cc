@@ -180,7 +180,7 @@ TEST(TraceContextTest, ChromeJsonHasCompleteEventsAndArgs) {
   TraceContext ctx;
   {
     TraceSpan root(&ctx, "query");
-    TraceSpan child(&ctx, "cb.shard");
+    TraceSpan child(&ctx, "cb.group");
     child.Count("sequences", 5);
     child.Note("note", "a \"quoted\" value");
   }
@@ -188,7 +188,7 @@ TEST(TraceContextTest, ChromeJsonHasCompleteEventsAndArgs) {
   EXPECT_EQ(json.find("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["), 0u);
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"name\":\"query\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"cb.shard\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"cb.group\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"sequences\":5"), std::string::npos);
   // Quotes inside notes are escaped.

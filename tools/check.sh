@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Full verification: the tier-1 build + test pass, a doc-lint pass
 # (metric AND span catalogs in docs/OBSERVABILITY.md must match the
-# names the code registers/emits), a perf smoke run of the II kernel
-# harness against its recorded baselines, then the same tests
-# under ASan/UBSan, then the service/engine/parallel-II/ingest tests
-# under TSan (the concurrency surface: engine thread-safety, thread
-# pool, query service, sessions, intra-query join/scan partitioning,
+# names the code registers/emits, and every EngineOptions field the docs
+# name must exist), a perf smoke run of the II kernel harness against
+# its recorded baselines, then the same tests under ASan/UBSan, then the
+# service/engine/parallel-II/ingest tests under TSan (the concurrency
+# surface: engine thread-safety, thread pool, query service, sessions,
+# the shard scatter,
 # the one write path — table ingest and raw appends, concurrent
 # writers + readers + the delta merger against the epoch gate — windowed
 # formations derived from a shared base while the sequence cache evicts,
@@ -54,7 +55,7 @@ if [[ "${1:-}" == "--tier1-only" ]]; then
 fi
 
 echo
-echo "== doc-lint: metric catalog in sync with docs/OBSERVABILITY.md =="
+echo "== doc-lint: metric/span catalogs and option names in sync with the code =="
 tools/doc_lint.sh
 
 echo

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Keeps docs/OBSERVABILITY.md in exact sync with the code, both ways:
-#   - the §1 metric catalog vs every MetricsRegistry::counter/gauge/
-#     histogram registration under src/;
-#   - the §2 span catalog vs every TraceSpan construction and
-#     AddTimedSpan call under src/.
-# Fails if the code emits a name the doc omits, or the doc names one the
-# code no longer emits.
+# Keeps the docs in sync with the code:
+#   - the docs/OBSERVABILITY.md §1 metric catalog vs every
+#     MetricsRegistry::counter/gauge/histogram registration under src/,
+#     both ways;
+#   - its §2 span catalog vs every TraceSpan construction and
+#     AddTimedSpan call under src/, both ways;
+#   - EngineOptions::<field> mentions in README.md, DESIGN.md and
+#     docs/*.md vs the fields struct EngineOptions declares.
+# Fails if the code emits a name the doc omits, the doc names one the
+# code no longer emits, or a doc names an option that does not exist.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,5 +70,25 @@ if [[ -n "$spans_stale_in_doc" ]]; then
   fail=1
 fi
 
+# Option mentions: every EngineOptions::<field> named in README.md,
+# DESIGN.md or docs/*.md must be a field that `struct EngineOptions` in
+# engine/engine.h declares. Field lines look like
+#   size_t exec_threads = 1;   or   std::string shard_by;
+OPTS_HDR=src/solap/engine/engine.h
+option_fields=$(sed -n '/^struct EngineOptions {/,/^};/p' "$OPTS_HDR" |
+  sed -E 's/ = .*;$/;/' |
+  sed -nE 's/^ +[A-Za-z].* ([a-z_][a-z0-9_]*);$/\1/p' | sort -u)
+[[ -n "$option_fields" ]] || { echo "doc-lint: no EngineOptions fields found in $OPTS_HDR" >&2; exit 1; }
+doc_options=$(grep -ohE 'EngineOptions::[A-Za-z_][A-Za-z0-9_]*' \
+    README.md DESIGN.md docs/*.md |
+  sed 's/^EngineOptions:://' | sort -u)
+stale_options=$(comm -13 <(echo "$option_fields") <(echo "$doc_options"))
+if [[ -n "$stale_options" ]]; then
+  echo "doc-lint: EngineOptions fields named in the docs but not declared in $OPTS_HDR:" >&2
+  echo "$stale_options" | sed 's/^/  EngineOptions::/' >&2
+  fail=1
+fi
+
 if [[ "$fail" -ne 0 ]]; then exit 1; fi
-echo "ok: $(echo "$code_names" | wc -l) metric names and $(echo "$code_spans" | wc -l) span names in sync with $DOC"
+echo "ok: $(echo "$code_names" | wc -l) metric names and $(echo "$code_spans" | wc -l) span names in sync with $DOC;" \
+  "$(echo "$doc_options" | grep -c .) EngineOptions fields named in the docs all declared"

@@ -158,11 +158,9 @@ int main(int argc, char** argv) {
   std::unique_ptr<solap::EventTable> slice = std::move(slices[flags.shard]);
 
   // Mirror the coordinator's per-shard executor options (sharded_engine.cc
-  // BuildShards): serial execution, an even split of the cuboid repository
-  // and of the memory budget.
+  // BuildShards): an even split of the cuboid repository and of the memory
+  // budget.
   solap::EngineOptions opts;
-  opts.exec_threads = 1;
-  opts.cb_threads = 1;
   opts.repository_capacity_bytes = opts.repository_capacity_bytes / n;
   opts.memory_budget_bytes = flags.memory_budget_bytes / n;
   solap::SOlapEngine engine(slice.get(), hierarchies.get(), opts);
