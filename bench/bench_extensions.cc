@@ -69,10 +69,14 @@ struct WarmEngines {
     // Repository capacity 0: every Execute really runs.
     cb = std::make_unique<SOlapEngine>(
         data.groups, data.hierarchies.get(),
-        EngineOptions{ExecStrategy::kCounterBased, 0, false});
+        EngineOptions{.default_strategy = ExecStrategy::kCounterBased,
+                      .repository_capacity_bytes = 0,
+                      .enable_index_cache = false});
     ii = std::make_unique<SOlapEngine>(
         data.groups, data.hierarchies.get(),
-        EngineOptions{ExecStrategy::kInvertedIndex, 0, true});
+        EngineOptions{.default_strategy = ExecStrategy::kInvertedIndex,
+                      .repository_capacity_bytes = 0,
+                      .enable_index_cache = true});
     // Warm the II index cache.
     (void)ii->Execute(spec, ExecStrategy::kInvertedIndex);
   }

@@ -33,9 +33,9 @@ void RunOne(const SyntheticParams& params, size_t num_queries) {
 
   // CB: no auxiliary structures at all.
   SOlapEngine cb_engine(data.groups, data.hierarchies.get(),
-                        EngineOptions{ExecStrategy::kCounterBased,
-                                      size_t{64} << 20,
-                                      /*enable_index_cache=*/false});
+                        EngineOptions{
+                            .default_strategy = ExecStrategy::kCounterBased,
+                            .enable_index_cache = false});
   auto cb = bench::RunQaSession(cb_engine, ExecStrategy::kCounterBased,
                                 InitialXY(), num_queries, fine);
 

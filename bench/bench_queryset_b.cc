@@ -62,8 +62,9 @@ void RunOne(const SyntheticParams& params) {
     bool is_ii = strategy == ExecStrategy::kInvertedIndex;
     // Cuboid repository disabled: every query must really execute.
     SOlapEngine engine(data.groups, data.hierarchies.get(),
-                       EngineOptions{strategy, 0,
-                                     /*enable_index_cache=*/is_ii});
+                       EngineOptions{.default_strategy = strategy,
+                                     .repository_capacity_bytes = 0,
+                                     .enable_index_cache = is_ii});
     if (is_ii) {
       // Paper: L3^(X,Y,Z) was precomputed in advance. Answering QB1 once
       // materializes exactly that index; drop the timing.

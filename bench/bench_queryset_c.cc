@@ -44,7 +44,8 @@ int Run(int argc, char** argv) {
          {ExecStrategy::kCounterBased, ExecStrategy::kInvertedIndex}) {
       bool is_ii = strategy == ExecStrategy::kInvertedIndex;
       SOlapEngine engine(data.groups, data.hierarchies.get(),
-                         EngineOptions{strategy, size_t{64} << 20, is_ii});
+                         EngineOptions{.default_strategy = strategy,
+                                       .enable_index_cache = is_ii});
       for (size_t q = 0; q < queries.size(); ++q) {
         (is_ii ? ii : cb).push_back(
             bench::RunQuery(engine, queries[q], strategy, labels[q]));

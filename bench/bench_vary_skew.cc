@@ -36,8 +36,9 @@ int Run(int argc, char** argv) {
     SyntheticData data = GenerateSynthetic(p);
 
     SOlapEngine cb_engine(data.groups, data.hierarchies.get(),
-                          EngineOptions{ExecStrategy::kCounterBased,
-                                        size_t{64} << 20, false});
+                          EngineOptions{
+                              .default_strategy = ExecStrategy::kCounterBased,
+                              .enable_index_cache = false});
     auto cb = bench::RunQaSession(cb_engine, ExecStrategy::kCounterBased,
                                   InitialXY(), 4, fine);
     SOlapEngine ii_engine(data.groups, data.hierarchies.get());

@@ -22,9 +22,8 @@ std::string ScanStats::ToString() const {
        << " merged_cells=" << shard_merged_cells
        << " fallbacks=" << shard_fallbacks << ")";
   }
-  if (shard_rpc_retries != 0 || shard_rpc_hedges != 0 || partial_answers != 0) {
+  if (shard_rpc_retries != 0 || partial_answers != 0) {
     os << " rpc=(retries=" << shard_rpc_retries
-       << " hedges=" << shard_rpc_hedges
        << " partial=" << partial_answers << ")";
   }
   if (ingested_events != 0 || delta_merges != 0) {

@@ -56,9 +56,10 @@ struct ScanStats {
   /// fallback executor.
   uint64_t shard_fallbacks = 0;
   /// Distributed scatter (engine/remote_shard.h): shard RPC attempts beyond
-  /// the first, hedged duplicate requests fired after the latency threshold,
-  /// and queries answered with one or more shard slices missing.
+  /// the first, and queries answered with one or more shard slices missing.
   uint64_t shard_rpc_retries = 0;
+  /// Always 0 (shard RPCs are not hedged). Kept because v1 shard
+  /// partials (cube/partial_codec.cc) and perfbench carry the field.
   uint64_t shard_rpc_hedges = 0;
   uint64_t partial_answers = 0;
   /// Streaming ingestion (engine/ingest.cc, docs/INGESTION.md): event rows

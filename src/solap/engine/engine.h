@@ -78,8 +78,9 @@ struct EngineOptions {
   /// which shard owns a sequence. Queries whose CLUSTER BY does not include
   /// this attribute at its base level cannot be scattered (a coarser level
   /// could split one logical sequence across shards) and fall back to a
-  /// monolithic engine. Empty = the table's first string column.
-  std::string shard_by;
+  /// monolithic engine. Empty = the table's first string column. (The
+  /// explicit `= {}` lets designated initializers omit it warning-free.)
+  std::string shard_by = {};
   /// Single byte budget covering everything the engine keeps resident or
   /// allocates in bulk: cached inverted indices, formed sequence groups,
   /// the cuboid repository, and transient II join scratch. When a charge
@@ -209,12 +210,13 @@ class SOlapEngine {
                             const std::vector<std::vector<Code>>& sequences);
 
   /// Table-backed engines whose table was appended to by someone else (the
-  /// sharded facade's fallback shares the facade's table): catches every
-  /// cached formation up to the end of the table exactly as IngestRows
-  /// does after its own append — extended where the new rows only add
-  /// cluster keys, invalidated otherwise — and maintains indices and
-  /// cuboids through the same routine.
-  void NotifyTableAppend();
+  /// sharded facade's shards and its fallback): catches every cached
+  /// formation up to the end of the table exactly as IngestRows does after
+  /// its own append — extended where the new rows only add cluster keys,
+  /// invalidated otherwise — and maintains indices and cuboids through the
+  /// same routine. Traced as an `ingest.append` span noted
+  /// `scope=catch_up`.
+  void NotifyTableAppend(TraceContext* trace = nullptr);
 
   // -- Streaming ingestion (docs/INGESTION.md) -------------------------------
 

@@ -2,7 +2,7 @@
 // §6): the engine's one write path.
 //
 // Every append — IngestRows (table rows), NotifyTableAppend (rows appended
-// to the table by its owner, e.g. the sharded facade's fallback) and
+// to the table by its owner: the sharded facade's shards and fallback) and
 // AppendRawSequences (raw sequences) — ends in MaintainCaches under the
 // exclusive epoch gate, which incrementally maintains every cached
 // structure instead of dropping them all:
@@ -71,7 +71,9 @@ Status SOlapEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
   return Status::OK();
 }
 
-void SOlapEngine::NotifyTableAppend() {
+void SOlapEngine::NotifyTableAppend(TraceContext* trace) {
+  TraceSpan span(trace, "ingest.append");
+  span.Note("scope", "catch_up");
   EpochGate::WriteLock wl(gate_);
   ScanStats local;
   CatchUpFormations(&local);

@@ -1,9 +1,7 @@
 #include "solap/engine/remote_shard.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "solap/common/failpoint.h"
@@ -13,10 +11,6 @@
 namespace solap {
 
 namespace {
-
-/// Latency samples kept for the p95 estimate. Small on purpose: the
-/// estimate should track the *current* shard, not its cold-start history.
-constexpr size_t kLatencyWindow = 64;
 
 /// Strategy wire names — the same cb|ii|auto tokens X-Solap-Strategy uses.
 const char* StrategyWireName(ExecStrategy strategy) {
@@ -112,7 +106,6 @@ RemoteShardClient::RemoteShardClient(size_t shard_index,
       options_(std::move(options)) {
   if (metrics != nullptr) {
     retries_counter_ = metrics->counter("shard_rpc_retries");
-    hedges_counter_ = metrics->counter("shard_rpc_hedges");
   }
 }
 
@@ -127,29 +120,21 @@ bool RemoteShardClient::IsTransportError(const Status& s) {
          s.code() == StatusCode::kParseError;
 }
 
-std::chrono::milliseconds RemoteShardClient::HedgeDelay() const {
-  std::lock_guard<std::mutex> lock(latency_mu_);
-  if (latency_window_.empty()) return options_.hedge_floor;
-  std::vector<std::chrono::milliseconds> sorted = latency_window_;
-  std::sort(sorted.begin(), sorted.end());
-  const size_t idx =
-      std::min(sorted.size() - 1, (sorted.size() * 95 + 99) / 100);
-  return std::max(sorted[idx], options_.hedge_floor);
-}
-
-void RemoteShardClient::RecordLatency(std::chrono::milliseconds sample) {
-  std::lock_guard<std::mutex> lock(latency_mu_);
-  if (latency_window_.size() < kLatencyWindow) {
-    latency_window_.push_back(sample);
-  } else {
-    latency_window_[latency_next_] = sample;
-    latency_next_ = (latency_next_ + 1) % kLatencyWindow;
+std::chrono::steady_clock::time_point RemoteShardClient::Deadline(
+    const StopToken* stop) const {
+  auto deadline = stop != nullptr
+                      ? stop->deadline()
+                      : std::chrono::steady_clock::time_point::max();
+  if (deadline == std::chrono::steady_clock::time_point::max() &&
+      options_.default_timeout.count() > 0) {
+    deadline = std::chrono::steady_clock::now() + options_.default_timeout;
   }
+  return deadline;
 }
 
-Result<ShardPartial> RemoteShardClient::AttemptOnce(
-    const std::string& body, std::chrono::steady_clock::time_point deadline,
-    const StopToken* stop, TraceContext* trace) {
+Result<std::string> RemoteShardClient::Post(
+    const char* path, const std::string& body,
+    std::chrono::steady_clock::time_point deadline, const StopToken* stop) {
   SOLAP_FAILPOINT("shard.rpc.send");
   // Propagate the remaining budget so the shard stops executing when the
   // coordinator has already given up waiting.
@@ -162,106 +147,32 @@ Result<ShardPartial> RemoteShardClient::AttemptOnce(
         "X-Solap-Deadline-Ms",
         std::to_string(std::max<int64_t>(left.count(), 1)));
   }
-  auto resp = net::HttpExchange(endpoint_.host, endpoint_.port, "POST",
-                                "/shard/exec", body, headers, deadline, stop);
+  auto resp = net::HttpExchange(endpoint_.host, endpoint_.port, "POST", path,
+                                body, headers, deadline, stop);
   {
     Status injected = SOLAP_FAILPOINT_CHECK("shard.rpc.recv");
     if (!injected.ok()) return injected;
   }
   if (!resp.ok()) return resp.status();
   if (resp->status != 200) return MapApplicationError(*resp);
+  return std::move(resp->body);
+}
 
+Result<ShardPartial> RemoteShardClient::AttemptOnce(
+    const std::string& body, std::chrono::steady_clock::time_point deadline,
+    const StopToken* stop, TraceContext* trace) {
+  SOLAP_ASSIGN_OR_RETURN(std::string answer,
+                         Post("/shard/exec", body, deadline, stop));
   {
     Status injected = SOLAP_FAILPOINT_CHECK("shard.rpc.decode");
     if (!injected.ok()) return injected;
   }
   TraceSpan span(trace, "shard.decode");
   span.Count("shard", shard_index_);
-  span.Count("bytes", resp->body.size());
-  auto partial = DecodeShardPartial(resp->body);
+  span.Count("bytes", answer.size());
+  auto partial = DecodeShardPartial(answer);
   if (!partial.ok()) span.Note("error", partial.status().ToString());
   return partial;
-}
-
-Result<ShardPartial> RemoteShardClient::AttemptWithHedge(
-    const std::string& body, std::chrono::steady_clock::time_point deadline,
-    const StopToken* stop, TraceContext* trace, ScanStats* stats) {
-  if (!options_.hedge) return AttemptOnce(body, deadline, stop, trace);
-
-  // Two racing attempts behind one result rendezvous. Each gets its own
-  // stop source (mirroring the caller's deadline) so the loser tears down
-  // within one poll slice of a winner arriving, and both threads are
-  // joined before return — nothing outlives this frame.
-  struct Rendezvous {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done[2] = {false, false};
-    Result<ShardPartial> result[2] = {
-        Status::Unavailable("not attempted"),
-        Status::Unavailable("not attempted")};
-  };
-  Rendezvous rv;
-  StopSource attempt_stop[2];
-  attempt_stop[0].SetDeadline(deadline);
-  attempt_stop[1].SetDeadline(deadline);
-  StopToken tokens[2] = {attempt_stop[0].token(), attempt_stop[1].token()};
-
-  auto run = [&](int idx) {
-    auto r = AttemptOnce(body, deadline, &tokens[idx], trace);
-    std::lock_guard<std::mutex> lock(rv.mu);
-    rv.result[idx] = std::move(r);
-    rv.done[idx] = true;
-    rv.cv.notify_all();
-  };
-
-  const auto hedge_at = std::chrono::steady_clock::now() + HedgeDelay();
-  std::thread primary(run, 0);
-  std::thread secondary;
-  bool hedged = false;
-
-  auto caller_stopped = [&] {
-    return stop != nullptr && stop->stop_requested();
-  };
-
-  std::unique_lock<std::mutex> lock(rv.mu);
-  for (;;) {
-    const bool primary_done = rv.done[0];
-    const bool secondary_done = !hedged || rv.done[1];
-    if ((primary_done && rv.result[0].ok()) ||
-        (hedged && rv.done[1] && rv.result[1].ok()) ||
-        (primary_done && secondary_done)) {
-      break;
-    }
-    if (caller_stopped()) {
-      attempt_stop[0].RequestStop();
-      attempt_stop[1].RequestStop();
-    }
-    if (!hedged && !primary_done &&
-        std::chrono::steady_clock::now() >= hedge_at && !caller_stopped()) {
-      hedged = true;
-      if (stats != nullptr) ++stats->shard_rpc_hedges;
-      if (hedges_counter_ != nullptr) hedges_counter_->Inc();
-      secondary = std::thread(run, 1);
-      continue;
-    }
-    rv.cv.wait_for(lock, std::chrono::milliseconds(10));
-  }
-
-  // Pick the winner before releasing anything: first successful result,
-  // else the primary's failure (it is the representative error).
-  Result<ShardPartial> winner =
-      rv.done[0] && rv.result[0].ok()
-          ? std::move(rv.result[0])
-          : (hedged && rv.done[1] && rv.result[1].ok()
-                 ? std::move(rv.result[1])
-                 : std::move(rv.result[0]));
-  lock.unlock();
-
-  attempt_stop[0].RequestStop();
-  attempt_stop[1].RequestStop();
-  primary.join();
-  if (secondary.joinable()) secondary.join();
-  return winner;
 }
 
 Result<ShardPartial> RemoteShardClient::Execute(const CuboidSpec& spec,
@@ -269,14 +180,7 @@ Result<ShardPartial> RemoteShardClient::Execute(const CuboidSpec& spec,
                                                 const StopToken* stop,
                                                 TraceContext* trace,
                                                 ScanStats* stats) {
-  auto deadline = stop != nullptr
-                      ? stop->deadline()
-                      : std::chrono::steady_clock::time_point::max();
-  if (deadline == std::chrono::steady_clock::time_point::max() &&
-      options_.default_timeout.count() > 0) {
-    deadline = std::chrono::steady_clock::now() + options_.default_timeout;
-  }
-
+  const auto deadline = Deadline(stop);
   const std::string body = "{\"v\":" + std::to_string(kShardWireVersion) +
                            ",\"strategy\":\"" + StrategyWireName(strategy) +
                            "\",\"spec\":" + EncodeCuboidSpec(spec) + "}";
@@ -291,11 +195,8 @@ Result<ShardPartial> RemoteShardClient::Execute(const CuboidSpec& spec,
     TraceSpan span(trace, "shard.rpc");
     span.Count("shard", shard_index_);
     span.Count("attempt", static_cast<uint64_t>(budget.attempts_started()));
-    const auto started = std::chrono::steady_clock::now();
-    auto r = AttemptWithHedge(body, deadline, stop, trace, stats);
+    auto r = AttemptOnce(body, deadline, stop, trace);
     if (r.ok()) {
-      RecordLatency(std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - started));
       if (stats != nullptr) *stats += r->stats;
       span.Count("cells", r->cuboid->num_cells());
       return r;
@@ -310,14 +211,6 @@ Result<ShardPartial> RemoteShardClient::Execute(const CuboidSpec& spec,
 Status RemoteShardClient::Append(const std::vector<std::vector<Value>>& rows,
                                  const std::vector<DictUpdate>& dicts,
                                  const StopToken* stop, TraceContext* trace) {
-  auto deadline = stop != nullptr
-                      ? stop->deadline()
-                      : std::chrono::steady_clock::time_point::max();
-  if (deadline == std::chrono::steady_clock::time_point::max() &&
-      options_.default_timeout.count() > 0) {
-    deadline = std::chrono::steady_clock::now() + options_.default_timeout;
-  }
-
   std::ostringstream payload;
   payload << "{\"dicts\":[";
   for (size_t i = 0; i < dicts.size(); ++i) {
@@ -348,33 +241,10 @@ Status RemoteShardClient::Append(const std::vector<std::vector<Value>>& rows,
   span.Note("rpc", "append");
   span.Count("shard", shard_index_);
   span.Count("rows", rows.size());
-  SOLAP_FAILPOINT("shard.rpc.send");
-  std::vector<std::pair<std::string, std::string>> headers = {
-      {"Content-Type", "application/json"}};
-  if (deadline != std::chrono::steady_clock::time_point::max()) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    headers.emplace_back("X-Solap-Deadline-Ms",
-                         std::to_string(std::max<int64_t>(left.count(), 1)));
-  }
-  auto resp =
-      net::HttpExchange(endpoint_.host, endpoint_.port, "POST",
-                        "/shard/append", body, headers, deadline, stop);
-  {
-    Status injected = SOLAP_FAILPOINT_CHECK("shard.rpc.recv");
-    if (!injected.ok()) {
-      span.Note("error", injected.ToString());
-      return injected;
-    }
-  }
-  if (!resp.ok()) {
-    span.Note("error", resp.status().ToString());
-    return resp.status();
-  }
-  if (resp->status != 200) {
-    Status mapped = MapApplicationError(*resp);
-    span.Note("error", mapped.ToString());
-    return mapped;
+  auto answer = Post("/shard/append", body, Deadline(stop), stop);
+  if (!answer.ok()) {
+    span.Note("error", answer.status().ToString());
+    return answer.status();
   }
   return Status::OK();
 }

@@ -13,11 +13,12 @@
 //    corrupt-bytes kParseError) retry under a full-jitter RetryBudget
 //    (common/retry.h); application-class failures (InvalidArgument,
 //    NotFound, ResourceExhausted, ...) return immediately — the shard
-//    understood the request and said no, asking again changes nothing;
-//  - hedging: optionally, an attempt still in flight after the client's
-//    observed p95 latency fires one duplicate request and the first
-//    success wins — the classic tail-latency amputation, off by default
-//    because it doubles load on the slowest queries.
+//    understood the request and said no, asking again changes nothing.
+//
+// Appends (POST /shard/append) share the exec attempt's POST: deadline
+// header, failpoints and error mapping, but are sent once. The caller
+// (ShardedEngine) tracks which dictionary entries each server has
+// acknowledged and sends every tail from there.
 //
 // Failpoints shard.rpc.send / shard.rpc.recv / shard.rpc.decode arm the
 // three client-side failure stages; spans shard.rpc (per attempt) and
@@ -27,7 +28,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -67,12 +67,6 @@ struct RemoteShardOptions {
                     .initial_backoff = std::chrono::milliseconds(5),
                     .max_backoff = std::chrono::milliseconds(200),
                     .full_jitter = true};
-  /// Fire a duplicate request when an attempt is still in flight after the
-  /// observed p95 of this client's past RPCs.
-  bool hedge = false;
-  /// Lower bound for the hedge trigger (and its value until enough
-  /// latency samples exist) — hedging below a few ms just doubles load.
-  std::chrono::milliseconds hedge_floor{20};
   /// Deadline applied when the caller's StopToken carries none
   /// (0 = unbounded).
   std::chrono::milliseconds default_timeout{0};
@@ -80,8 +74,7 @@ struct RemoteShardOptions {
 
 /// \brief Blocking RPC client for one shard server.
 ///
-/// Thread-safe: concurrent Execute calls share only the latency window
-/// (mutex) and metric counters.
+/// Thread-safe: concurrent Execute calls share only the metric counters.
 class RemoteShardClient {
  public:
   RemoteShardClient(size_t shard_index, ShardEndpoint endpoint,
@@ -93,7 +86,7 @@ class RemoteShardClient {
 
   /// Executes `spec` on the remote shard's slice. On success the decoded
   /// partial's stats have been added into `*stats` (when non-null), along
-  /// with any retry/hedge counts this call spent.
+  /// with any retries this call spent.
   Result<ShardPartial> Execute(const CuboidSpec& spec, ExecStrategy strategy,
                                const StopToken* stop, TraceContext* trace,
                                ScanStats* stats);
@@ -109,45 +102,38 @@ class RemoteShardClient {
   /// Replicates an appended row batch (this shard's routed slice of it)
   /// via POST /shard/append. Dictionary tails land first so the replica's
   /// codes stay identical to the coordinator slice's — the precondition
-  /// for bit-identical /shard/exec partials. SINGLE attempt, no retry or
-  /// hedge: an append is not idempotent, and a retry whose predecessor
-  /// actually landed would silently double rows; on failure the caller
-  /// marks the shard degraded and the supervisor restores it.
+  /// for bit-identical /shard/exec partials. SINGLE attempt, no retry: an
+  /// append is not idempotent, and a retry whose predecessor actually
+  /// landed would silently double rows; on failure the caller marks the
+  /// shard degraded and the supervisor restores it.
   Status Append(const std::vector<std::vector<Value>>& rows,
                 const std::vector<DictUpdate>& dicts, const StopToken* stop,
                 TraceContext* trace);
 
-  /// True for failures worth retrying/hedging: the transport (or the
+  /// True for failures worth retrying: the transport (or the
   /// shard's own transient machinery) failed, rather than the request
   /// being wrong. Exposed for the scatter path's degradation decision.
   static bool IsTransportError(const Status& s);
 
-  /// Current hedge trigger: observed p95 of successful RPCs, floored at
-  /// options.hedge_floor (tests).
-  std::chrono::milliseconds HedgeDelay() const;
-
  private:
+  /// The caller's deadline, else options.default_timeout from now.
+  std::chrono::steady_clock::time_point Deadline(const StopToken* stop) const;
+  /// One POST of `body` to `path`: the X-Solap-Deadline-Ms header, the
+  /// shard.rpc.send / shard.rpc.recv failpoints, and a non-200 answer
+  /// mapped back to the Status the shard meant. Returns the 200 body.
+  Result<std::string> Post(const char* path, const std::string& body,
+                           std::chrono::steady_clock::time_point deadline,
+                           const StopToken* stop);
   Result<ShardPartial> AttemptOnce(const std::string& body,
                                    std::chrono::steady_clock::time_point
                                        deadline,
                                    const StopToken* stop,
                                    TraceContext* trace);
-  Result<ShardPartial> AttemptWithHedge(
-      const std::string& body,
-      std::chrono::steady_clock::time_point deadline, const StopToken* stop,
-      TraceContext* trace, ScanStats* stats);
-  void RecordLatency(std::chrono::milliseconds sample);
 
   size_t shard_index_;
   ShardEndpoint endpoint_;
   RemoteShardOptions options_;
   Counter* retries_counter_ = nullptr;
-  Counter* hedges_counter_ = nullptr;
-
-  /// Sliding window of successful-RPC latencies feeding the p95 estimate.
-  mutable std::mutex latency_mu_;
-  std::vector<std::chrono::milliseconds> latency_window_;
-  size_t latency_next_ = 0;
 };
 
 }  // namespace solap

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "solap/common/failpoint.h"
 #include "solap/cube/partial_merge.h"
 #include "solap/engine/remote_shard.h"
 #include "solap/engine/shard_partition.h"
@@ -29,7 +30,6 @@ ShardedEngine::ShardedEngine(const EventTable* table,
                              EngineOptions options)
     : table_(table), hierarchies_(hierarchies), options_(std::move(options)) {
   BuildShards();
-  num_shards_ = shards_.size();
 }
 
 ShardedEngine::ShardedEngine(EventTable* table,
@@ -40,7 +40,6 @@ ShardedEngine::ShardedEngine(EventTable* table,
       hierarchies_(hierarchies),
       options_(std::move(options)) {
   BuildShards();
-  num_shards_ = shards_.size();
 }
 
 ShardedEngine::ShardedEngine(std::shared_ptr<SequenceGroupSet> raw_groups,
@@ -50,11 +49,10 @@ ShardedEngine::ShardedEngine(std::shared_ptr<SequenceGroupSet> raw_groups,
       hierarchies_(hierarchies),
       options_(std::move(options)) {
   BuildShards();
-  num_shards_ = shards_.size();
 }
 
 ShardedEngine::ShardedEngine(SOlapEngine* borrowed)
-    : hierarchies_(borrowed->hierarchies()), shards_{borrowed}, num_shards_(1) {}
+    : hierarchies_(borrowed->hierarchies()), shards_{borrowed} {}
 
 ShardedEngine::~ShardedEngine() = default;
 
@@ -93,9 +91,8 @@ void ShardedEngine::BuildShards() {
   shard_opts.memory_budget_bytes = options_.memory_budget_bytes / n;
 
   if (table_ != nullptr) {
-    shard_tables_ = table_->PartitionRows(n, [this, n](RowId r) {
-      return ShardOfCode(table_->CodeAt(r, shard_col_), n);
-    });
+    shard_tables_ = table_->PartitionRows(
+        n, [this, n](RowId r) { return ShardOfRow(r, n); });
     for (size_t s = 0; s < n; ++s) {
       AddShard(std::make_unique<SOlapEngine>(shard_tables_[s].get(),
                                              hierarchies_, shard_opts));
@@ -134,6 +131,10 @@ void ShardedEngine::AddShard(std::unique_ptr<SOlapEngine> shard) {
   owned_shards_.push_back(std::move(shard));
 }
 
+size_t ShardedEngine::ShardOfRow(RowId r, size_t n) const {
+  return ShardOfCode(table_->CodeAt(r, shard_col_), n);
+}
+
 ThreadPool* ShardedEngine::ScatterPool() {
   std::lock_guard<std::mutex> lock(scatter_pool_mu_);
   if (!scatter_pool_created_) {
@@ -141,14 +142,14 @@ ThreadPool* ShardedEngine::ScatterPool() {
     const size_t hw =
         std::max<size_t>(std::thread::hardware_concurrency(), 1);
     size_t t = options_.exec_threads == 0 ? hw : options_.exec_threads;
-    t = std::min(t, num_shards_);
+    t = std::min(t, shards_.size());
     if (t > 1) scatter_pool_ = std::make_unique<ThreadPool>(t);
   }
   return scatter_pool_.get();
 }
 
 SOlapEngine* ShardedEngine::Monolith() {
-  if (num_shards_ == 1) return shards_[0];
+  if (shards_.size() == 1) return shards_[0];
   std::lock_guard<std::mutex> lock(fallback_mu_);
   if (!fallback_) {
     EngineOptions opts = options_;
@@ -164,12 +165,12 @@ SOlapEngine* ShardedEngine::Monolith() {
 Status ShardedEngine::EnableRemoteScatter(
     const std::vector<ShardEndpoint>& endpoints, RemoteShardOptions rpc,
     DegradePolicy policy, bool local_fallback, MetricsRegistry* metrics) {
-  if (num_shards_ == 1 || endpoints.size() != num_shards_) {
+  if (shards_.size() == 1 || endpoints.size() != shards_.size()) {
     return Status::InvalidArgument(
         "remote scatter requires a sharded (shards > 1) engine and one "
         "endpoint per shard: " +
         std::to_string(endpoints.size()) + " endpoints for " +
-        std::to_string(num_shards_) + " shards");
+        std::to_string(shards_.size()) + " shards");
   }
   remote_clients_.clear();
   remote_clients_.reserve(endpoints.size());
@@ -180,6 +181,17 @@ Status ShardedEngine::EnableRemoteScatter(
   shard_healthy_ = std::make_unique<std::atomic<bool>[]>(endpoints.size());
   for (size_t i = 0; i < endpoints.size(); ++i) {
     shard_healthy_[i].store(true, std::memory_order_relaxed);
+  }
+  // The shard servers partitioned the same snapshot this table holds, so
+  // they start with its dictionaries.
+  replica_dict_sizes_.assign(endpoints.size(), {});
+  if (table_ != nullptr) {
+    for (size_t c = 0; c < table_->schema().num_fields(); ++c) {
+      const Dictionary* dict = table_->dictionary(static_cast<int>(c));
+      for (std::vector<size_t>& sizes : replica_dict_sizes_) {
+        sizes.push_back(dict != nullptr ? dict->size() : 0);
+      }
+    }
   }
   degrade_policy_ = policy;
   remote_local_fallback_ = local_fallback;
@@ -199,7 +211,7 @@ bool ShardedEngine::ShardHealthy(size_t i) const {
 
 bool ShardedEngine::Shardable(const CuboidSpec& spec) const {
   // One shard, or raw mode (the sequence is the unit): always.
-  if (num_shards_ == 1 || table_ == nullptr) return true;
+  if (shards_.size() == 1 || table_ == nullptr) return true;
   for (const LevelRef& ref : spec.seq.cluster_by) {
     if (ref.attr != shard_attr_) continue;
     const ConceptHierarchy* h =
@@ -223,7 +235,9 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::Execute(
 Result<std::shared_ptr<const SCuboid>> ShardedEngine::Execute(
     const CuboidSpec& spec, ExecStrategy strategy,
     const ExecControl& control) {
-  if (num_shards_ == 1) return shards_[0]->Execute(spec, strategy, control);
+  if (shards_.size() == 1) {
+    return shards_[0]->Execute(spec, strategy, control);
+  }
 
   // Facade snapshot: multi-shard mutations (IngestRows, EvictBefore) hold
   // this gate exclusively, so a scattered execution sees every shard at one
@@ -266,7 +280,7 @@ Result<std::shared_ptr<const SCuboid>> ShardedEngine::ExecuteScatter(
   CuboidSpec shard_spec = spec;
   shard_spec.iceberg_min_count.reset();
 
-  const size_t n = num_shards_;
+  const size_t n = shards_.size();
   const bool remote = remote_scatter();
   std::vector<std::shared_ptr<const SCuboid>> partials(n);
   std::vector<ScanStats> shard_stats(n);
@@ -399,7 +413,7 @@ Status ShardedEngine::PrecomputeIndex(const CuboidSpec& spec, size_t m,
 }
 
 Status ShardedEngine::WarmSequenceCache(const SequenceSpec& spec) {
-  // Shared gate: a failed ingest's shard rebuild cannot run meanwhile.
+  // Shared gate: IngestRows appends to the slices under the exclusive one.
   EpochGate::ReadLock rl(gate_);
   CuboidSpec probe;
   probe.seq = spec;
@@ -424,7 +438,7 @@ Status ShardedEngine::MaterializeIndex(const SequenceSpec& formation,
 
 Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
                                  TraceContext* trace) {
-  if (num_shards_ == 1) return shards_[0]->IngestRows(rows, trace);
+  if (shards_.size() == 1) return shards_[0]->IngestRows(rows, trace);
   if (mutable_table_ == nullptr) {
     return Status::InvalidArgument(
         "IngestRows requires the mutable-table constructor");
@@ -432,102 +446,90 @@ Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
 
   TraceSpan span(trace, "ingest.append");
   span.Note("scope", "facade");
+  SOLAP_FAILPOINT("ingest.append");
   EpochGate::WriteLock wl(gate_);
   if (rows.empty()) {
     wl.Abandon();
     return Status::OK();
   }
-  // Commit to the facade (source-of-truth) table first: validate-first
-  // Append keeps the batch all-or-nothing, and a later repartition rebuilds
-  // consistent slices from here.
+  // Commit to the facade (source-of-truth) table: validate-first Append
+  // keeps the batch all-or-nothing. Nothing after it can fail, so a batch
+  // the facade holds is always reported OK.
   const RowId from_row = static_cast<RowId>(mutable_table_->num_rows());
   Status appended = mutable_table_->Append(rows);
   if (!appended.ok()) {
     wl.Abandon();
     return appended;
   }
-  const size_t n = num_shards_;
-  const size_t num_fields = mutable_table_->schema().num_fields();
-
-  size_t routed = 0;  // rows a shard executor committed (and counted)
-  auto fan_out = [&]() -> Status {
-    // New string values got fresh codes in the facade dictionaries; the
-    // shard replicas must assign the identical codes before any shard
-    // re-encodes the routed rows.
-    std::vector<std::vector<RemoteShardClient::DictUpdate>> dict_updates(n);
-    for (size_t c = 0; c < num_fields; ++c) {
-      const int col = static_cast<int>(c);
-      if (mutable_table_->dictionary(col) == nullptr) continue;
-      for (size_t s = 0; s < n; ++s) {
-        const size_t from = shard_tables_[s]->DictionarySize(col);
-        std::vector<std::string> tail =
-            mutable_table_->DictionaryTail(col, from);
-        if (tail.empty()) continue;
-        SOLAP_RETURN_NOT_OK(shard_tables_[s]->SyncDictionary(col, from, tail));
-        // Remote replicas start code-identical to the local slice, so the
-        // same tail keeps them that way.
-        dict_updates[s].push_back({col, from, std::move(tail)});
-      }
+  const size_t n = shards_.size();
+  std::vector<size_t> old_rows(n);
+  for (size_t s = 0; s < n; ++s) old_rows[s] = shard_tables_[s]->num_rows();
+  mutable_table_->CopyRowsInto(
+      from_row, shard_tables_, [this, n](RowId r) { return ShardOfRow(r, n); });
+  // Only the shards whose slice grew catch up: a catch-up with no new rows
+  // would still invalidate the shard's unpatchable cached cuboids.
+  for (size_t s = 0; s < n; ++s) {
+    if (shard_tables_[s]->num_rows() > old_rows[s]) {
+      shards_[s]->NotifyTableAppend(trace);
     }
-    // Route each appended row to the shard owning its sequence.
-    std::vector<std::vector<std::vector<Value>>> batches(n);
-    const size_t end_row = mutable_table_->num_rows();
-    for (RowId r = from_row; r < end_row; ++r) {
-      const size_t s = ShardOfCode(mutable_table_->CodeAt(r, shard_col_), n);
-      std::vector<Value> row;
-      row.reserve(num_fields);
-      for (size_t c = 0; c < num_fields; ++c) {
-        row.push_back(mutable_table_->GetValue(r, static_cast<int>(c)));
-      }
-      batches[s].push_back(std::move(row));
-    }
-    for (size_t s = 0; s < n; ++s) {
-      if (batches[s].empty()) continue;
-      SOLAP_RETURN_NOT_OK(shards_[s]->IngestRows(batches[s], trace));
-      routed += batches[s].size();
-      // Remote slices must track the local ones or scatters would answer
-      // from pre-append data. A failed replication marks the shard
-      // degraded: scatters then use the (up-to-date) local executor until
-      // the supervisor restores it.
-      if (remote_scatter() && s < remote_clients_.size()) {
-        Status replicated = remote_clients_[s]->Append(
-            batches[s], dict_updates[s], nullptr, trace);
-        if (!replicated.ok()) SetShardHealthy(s, false);
-      }
-    }
-    return Status::OK();
-  };
-  Status fanned = fan_out();
-  if (!fanned.ok()) {
-    // The facade table holds the batch but some slice does not — rebuild
-    // every slice from the source table so shards and facade agree again.
-    // Totals stay monotone: the retired shards' write counters and the
-    // rows no shard counted move into stats_.
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    for (const SOlapEngine* shard : shards_) {
-      AddWriteCounters(shard->StatsSnapshot(), &stats_);
-    }
-    stats_.ingested_events += rows.size() - routed;
-    ++stats_.formation_invalidations;
-    shards_.clear();
-    owned_shards_.clear();
-    shard_tables_.clear();
-    BuildShards();
   }
   {
-    // The fallback reads the facade table itself: catch its caches up to
-    // the new rows through the engine's own write path.
     std::lock_guard<std::mutex> lock(fallback_mu_);
-    if (fallback_) fallback_->NotifyTableAppend();
+    if (fallback_) fallback_->NotifyTableAppend(trace);
+  }
+  if (remote_scatter()) ReplicateAppend(old_rows, trace);
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.ingested_events += rows.size();
   }
   span.Count("events", rows.size());
   span.Count("epoch", wl.committed_epoch());
-  return fanned;
+  return Status::OK();
+}
+
+void ShardedEngine::ReplicateAppend(const std::vector<size_t>& old_rows,
+                                    TraceContext* trace) {
+  const size_t num_fields = table_->schema().num_fields();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const EventTable& slice = *shard_tables_[s];
+    if (slice.num_rows() == old_rows[s]) continue;
+    std::vector<std::vector<Value>> rows;
+    for (RowId r = static_cast<RowId>(old_rows[s]); r < slice.num_rows();
+         ++r) {
+      std::vector<Value> row;
+      row.reserve(num_fields);
+      for (size_t c = 0; c < num_fields; ++c) {
+        row.push_back(slice.GetValue(r, static_cast<int>(c)));
+      }
+      rows.push_back(std::move(row));
+    }
+    // Every tail from what this server acknowledged, so a server that got
+    // no rows in earlier batches still receives their new codes before
+    // rows that use them. SyncDictionary verifies any overlap a resend
+    // after a failed append carries.
+    std::vector<size_t>& acked = replica_dict_sizes_[s];
+    std::vector<RemoteShardClient::DictUpdate> dicts;
+    for (size_t c = 0; c < num_fields; ++c) {
+      const int col = static_cast<int>(c);
+      const Dictionary* dict = slice.dictionary(col);
+      if (dict == nullptr || dict->size() == acked[c]) continue;
+      dicts.push_back({col, acked[c], slice.DictionaryTail(col, acked[c])});
+    }
+    // A failed replication marks the shard degraded: scatters then use the
+    // (up-to-date) local executor until the supervisor restores it.
+    if (!remote_clients_[s]->Append(rows, dicts, nullptr, trace).ok()) {
+      SetShardHealthy(s, false);
+      continue;
+    }
+    for (const RemoteShardClient::DictUpdate& d : dicts) {
+      acked[d.col] = d.from + d.values.size();
+    }
+  }
 }
 
 Status ShardedEngine::EvictBefore(const std::string& order_attr,
                                   int64_t cutoff) {
-  if (num_shards_ == 1) return shards_[0]->EvictBefore(order_attr, cutoff);
+  if (shards_.size() == 1) return shards_[0]->EvictBefore(order_attr, cutoff);
   EpochGate::WriteLock wl(gate_);
   for (SOlapEngine* shard : shards_) {
     SOLAP_RETURN_NOT_OK(shard->EvictBefore(order_attr, cutoff));
@@ -542,16 +544,12 @@ Status ShardedEngine::EvictBefore(const std::string& order_attr,
 }
 
 uint64_t ShardedEngine::epoch() const {
-  return num_shards_ == 1 ? shards_[0]->epoch() : gate_.epoch();
+  return shards_.size() == 1 ? shards_[0]->epoch() : gate_.epoch();
 }
 
 Status ShardedEngine::MergeDeltasNow(TraceContext* trace) {
-  {
-    // Shared gate: a failed ingest's shard rebuild cannot run meanwhile.
-    EpochGate::ReadLock rl(gate_);
-    for (SOlapEngine* shard : shards_) {
-      SOLAP_RETURN_NOT_OK(shard->MergeDeltasNow(trace));
-    }
+  for (SOlapEngine* shard : shards_) {
+    SOLAP_RETURN_NOT_OK(shard->MergeDeltasNow(trace));
   }
   std::lock_guard<std::mutex> lock(fallback_mu_);
   return fallback_ ? fallback_->MergeDeltasNow(trace) : Status::OK();
@@ -567,7 +565,7 @@ SOlapEngine::DeltaStats ShardedEngine::DeltaSnapshot() const {
 }
 
 ScanStats ShardedEngine::StatsSnapshot() const {
-  if (num_shards_ == 1) return shards_[0]->StatsSnapshot();
+  if (shards_.size() == 1) return shards_[0]->StatsSnapshot();
   std::lock_guard<std::mutex> lock(stats_mu_);
   ScanStats total = stats_;
   for (const SOlapEngine* shard : shards_) {

@@ -5,12 +5,18 @@
 // cuboids with a distributive merge (cube/partial_merge.h).
 //
 // Partitioning happens once at construction: table-backed data splits by a
-// mix of the shard-by column's base code (EventTable::PartitionRows, which
-// clones dictionaries so codes stay comparable across slices); raw group
-// sets split each group into contiguous sid blocks. Either way a logical
-// sequence lives entirely in exactly one shard, so shard-local CB scans and
-// II joins see complete sequences and their per-cell counter state merges
-// additively — Gray's partial-aggregation shape.
+// mix of the shard-by column's base code (EventTable::PartitionRows, whose
+// slices share the facade table's dictionaries, so codes are the same in
+// every slice); raw group sets split each group into contiguous sid blocks.
+// Either way a logical sequence lives entirely in exactly one shard, so
+// shard-local CB scans and II joins see complete sequences and their
+// per-cell counter state merges additively — Gray's partial-aggregation
+// shape.
+//
+// Streaming ingestion appends once: the batch commits to the facade table,
+// its rows are copied into the owning slices by the routine that
+// partitioned them, and each executor whose data grew (those shards and
+// the fallback) catches its caches up (SOlapEngine::NotifyTableAppend).
 //
 // The facade has exactly two shapes:
 //  - one shard: every call delegates to that executor, which the facade
@@ -93,15 +99,17 @@ class ShardedEngine {
 
   // -- Streaming ingestion (docs/INGESTION.md) -------------------------------
 
-  /// Appends a batch of event rows, routing each to the shard that owns its
-  /// sequence (ShardOfCode over the shard-by column's base code) after
-  /// synchronizing the shard dictionaries with the facade table's. Each
-  /// owning shard then maintains its caches incrementally (delta segments,
-  /// patched or invalidated cached partials) exactly as a monolithic engine
-  /// would, and so does the monolithic fallback if built
-  /// (SOlapEngine::NotifyTableAppend). With remote scatter enabled, the
-  /// batch is also replicated to the shard servers (POST /shard/append) so
-  /// remote slices stay in sync. Requires the mutable-table constructor.
+  /// Appends a batch of event rows: commits it to the facade table
+  /// (all-or-nothing), copies each new row into the slice of the shard
+  /// that owns its sequence (ShardOfCode over the shard-by column's base
+  /// code), then catches up each shard whose slice grew, and the
+  /// monolithic fallback if built (SOlapEngine::NotifyTableAppend): delta
+  /// segments, patched or invalidated cached partials, exactly as a
+  /// monolithic engine would. Fails only before the commit; once the
+  /// facade table holds the batch the call returns OK. With remote scatter
+  /// enabled, each shard server whose slice grew also gets its rows
+  /// (POST /shard/append); a failed replication marks that shard
+  /// unhealthy. Requires the mutable-table constructor.
   Status IngestRows(const std::vector<std::vector<Value>>& rows,
                     TraceContext* trace = nullptr);
 
@@ -138,7 +146,7 @@ class ShardedEngine {
   const HierarchyRegistry* hierarchies() const { return hierarchies_; }
   const EngineOptions& options() const { return options_; }
 
-  size_t num_shards() const { return num_shards_; }
+  size_t num_shards() const { return shards_.size(); }
 
   /// The monolithic engine over the full data: in the one-shard shape its
   /// executor; otherwise the lazily-built fallback that answers
@@ -170,8 +178,17 @@ class ShardedEngine {
   bool ShardHealthy(size_t i) const;
 
  private:
+  /// Constructors only: shards_ never changes afterwards.
   void BuildShards();
   void AddShard(std::unique_ptr<SOlapEngine> shard);
+
+  /// Placement: the shard (of `n`) owning table row `r`'s sequence.
+  size_t ShardOfRow(RowId r, size_t n) const;
+
+  /// Sends each shard server the rows its slice gained past `old_rows`,
+  /// with the dictionary tails it has not yet acknowledged.
+  void ReplicateAppend(const std::vector<size_t>& old_rows,
+                       TraceContext* trace);
 
   /// The scatter-gather path (num_shards() > 1 and Shardable(spec)).
   Result<std::shared_ptr<const SCuboid>> ExecuteScatter(
@@ -181,10 +198,8 @@ class ShardedEngine {
   ThreadPool* ScatterPool();
 
   /// Sums `fn` over every executor: the shards, then the fallback if built.
-  /// Holds stats_mu_, which a failed ingest's shard rebuild holds too.
   template <typename Fn>
   size_t SumOverExecutors(Fn fn) const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
     size_t total = 0;
     for (const SOlapEngine* shard : shards_) total += fn(*shard);
     std::lock_guard<std::mutex> fallback_lock(fallback_mu_);
@@ -208,18 +223,15 @@ class ShardedEngine {
   int shard_col_ = -1;
   std::string shard_attr_;
 
-  // Partitioned table slices, one per shard (N-shard table mode only).
+  /// Partitioned table slices, one per shard (N-shard table mode only).
+  /// IngestRows appends to them under the exclusive gate_, so every reader
+  /// of a slice holds the facade gate.
   std::vector<std::unique_ptr<EventTable>> shard_tables_;
 
-  /// The executors every call goes through. Non-owning: they point into
-  /// owned_shards_, or at a borrowed engine. A failed ingest fan-out
-  /// rebuilds both under the exclusive gate_ and stats_mu_; walk them
-  /// holding one of those.
+  /// The executors every call goes through, fixed at construction.
+  /// Non-owning: they point into owned_shards_, or at a borrowed engine.
   std::vector<SOlapEngine*> shards_;
   std::vector<std::unique_ptr<SOlapEngine>> owned_shards_;
-  /// The shape: shards_.size() at construction, which a rebuild keeps.
-  /// Read without a lock.
-  size_t num_shards_ = 0;
 
   // Lazily-built monolithic fallback (N-shard shape only).
   std::unique_ptr<SOlapEngine> fallback_;
@@ -229,6 +241,9 @@ class ShardedEngine {
   // shard, a health flag per shard (written by the supervisor thread, read
   // by scatters), and the degradation policy.
   std::vector<std::unique_ptr<RemoteShardClient>> remote_clients_;
+  /// Per shard server and column: the dictionary size that server has
+  /// acknowledged (0 for non-string columns). Written by IngestRows only.
+  std::vector<std::vector<size_t>> replica_dict_sizes_;
   std::unique_ptr<std::atomic<bool>[]> shard_healthy_;
   DegradePolicy degrade_policy_ = DegradePolicy::kStrict;
   bool remote_local_fallback_ = true;
@@ -239,8 +254,7 @@ class ShardedEngine {
   bool scatter_pool_created_ = false;
   std::mutex scatter_pool_mu_;
 
-  // Query totals, plus the write counters of shards retired by a rebuild.
-  // stats_mu_ also guards that rebuild against StatsSnapshot.
+  // Query totals, plus the events the facade ingested.
   ScanStats stats_;
   mutable std::mutex stats_mu_;
 };

@@ -49,7 +49,6 @@ QueryService::QueryService(ShardedEngine* engine, ServiceOptions options)
       shard_merged_cells_(metrics_.counter("shard_merged_cells")),
       shard_fallbacks_(metrics_.counter("shard_fallbacks")),
       shard_rpc_retries_(metrics_.counter("shard_rpc_retries")),
-      shard_rpc_hedges_(metrics_.counter("shard_rpc_hedges")),
       partial_answers_(metrics_.counter("partial_answers")),
       formations_derived_(metrics_.counter("formations_derived")),
       ingest_events_(metrics_.counter("ingest_events")),
@@ -195,12 +194,11 @@ void QueryService::Execute(
     return;
   }
 
-  const bool flight = options_.single_flight;
-  const std::string key = flight ? spec.CanonicalString() : std::string();
-  // Duplicates of an in-flight spec wait for the executor, then run the
-  // engine themselves and land on the freshly cached cuboid — the same
-  // miss-then-hits accounting a sequential client would see.
-  const bool holder = flight ? EnterFlight(key) : false;
+  // Single flight: duplicates of an in-flight spec wait for the executor,
+  // then run the engine themselves and land on the freshly cached cuboid —
+  // the same miss-then-hits accounting a sequential client would see.
+  const std::string key = spec.CanonicalString();
+  const bool holder = EnterFlight(key);
 
   ExecControl control;
   control.stop = &stop;
@@ -247,7 +245,6 @@ void QueryService::Execute(
   shard_merged_cells_->Inc(resp.stats.shard_merged_cells);
   shard_fallbacks_->Inc(resp.stats.shard_fallbacks);
   shard_rpc_retries_->Inc(resp.stats.shard_rpc_retries);
-  shard_rpc_hedges_->Inc(resp.stats.shard_rpc_hedges);
   partial_answers_->Inc(resp.stats.partial_answers);
   formations_derived_->Inc(resp.stats.formations_derived);
 

@@ -40,9 +40,6 @@ struct ServiceOptions {
   size_t max_queue_depth = 64;
   /// Deadline applied to queries that do not set their own (0 = none).
   std::chrono::milliseconds default_timeout{0};
-  /// Identical specs submitted concurrently execute once; the duplicates
-  /// wait and are then served from the cuboid repository.
-  bool single_flight = true;
   /// Trace sampling: every Nth submission records a span tree retrievable
   /// via LastSampledTrace(). 0 (the default) disables sampling — the hot
   /// path then never touches the tracing machinery.
@@ -253,7 +250,6 @@ class QueryService {
   Counter* shard_merged_cells_;
   Counter* shard_fallbacks_;
   Counter* shard_rpc_retries_;
-  Counter* shard_rpc_hedges_;
   Counter* partial_answers_;
   Counter* formations_derived_;
   Counter* ingest_events_;

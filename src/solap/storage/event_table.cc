@@ -12,7 +12,7 @@ EventTable::EventTable(Schema schema) : schema_(std::move(schema)) {
   dicts_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     if (schema_.field(i).type == ValueType::kString) {
-      dicts_[i] = std::make_unique<Dictionary>();
+      dicts_[i] = std::make_shared<Dictionary>();
     }
   }
 }
@@ -154,16 +154,21 @@ std::vector<std::unique_ptr<EventTable>> EventTable::PartitionRows(
   shards.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     auto t = std::make_unique<EventTable>(schema_);
-    // Clone the dictionaries verbatim: AppendRow would re-encode values in
+    // Share the dictionaries: AppendRow would re-encode values in
     // first-seen order, giving each slice a private code space.
-    for (size_t c = 0; c < dicts_.size(); ++c) {
-      if (dicts_[c]) *t->dicts_[c] = *dicts_[c];
-    }
+    t->dicts_ = dicts_;
     shards.push_back(std::move(t));
   }
-  size_t n = schema_.num_fields();
-  for (RowId r = 0; r < num_rows_; ++r) {
-    EventTable& t = *shards[shard_of(r) % num_shards];
+  CopyRowsInto(0, shards, shard_of);
+  return shards;
+}
+
+void EventTable::CopyRowsInto(
+    RowId from, const std::vector<std::unique_ptr<EventTable>>& slices,
+    const std::function<size_t(RowId)>& shard_of) const {
+  const size_t n = schema_.num_fields();
+  for (RowId r = from; r < num_rows_; ++r) {
+    EventTable& t = *slices[shard_of(r) % slices.size()];
     for (size_t c = 0; c < n; ++c) {
       switch (schema_.field(c).type) {
         case ValueType::kString:
@@ -182,7 +187,6 @@ std::vector<std::unique_ptr<EventTable>> EventTable::PartitionRows(
     }
     ++t.num_rows_;
   }
-  return shards;
 }
 
 Value EventTable::GetValue(RowId row, int col) const {

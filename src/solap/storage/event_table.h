@@ -26,6 +26,12 @@ namespace solap {
 class EventTable {
  public:
   explicit EventTable(Schema schema);
+  // A copy would share the dictionaries; PartitionRows is the one place
+  // tables share them.
+  EventTable(const EventTable&) = delete;
+  EventTable& operator=(const EventTable&) = delete;
+  EventTable(EventTable&&) = default;
+  EventTable& operator=(EventTable&&) = default;
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
@@ -46,13 +52,6 @@ class EventTable {
   /// Monotonic count of committed non-empty Append batches. Storage-level
   /// bookkeeping only; the query-visible epoch is the engine gate's.
   uint64_t epoch() const { return epoch_; }
-
-  /// Number of entries in string column `col`'s dictionary (0 for
-  /// non-string columns). With `DictionaryTail`, the primitive of the
-  /// sharded append path's dictionary synchronization.
-  size_t DictionarySize(int col) const {
-    return dicts_[col] ? dicts_[col]->size() : 0;
-  }
 
   /// Values [from, size) of string column `col`'s dictionary in code order
   /// — the entries a replica whose dictionary has `from` entries must
@@ -81,20 +80,29 @@ class EventTable {
   double DoubleAt(RowId row, int col) const { return dbl_cols_[col][row]; }
 
   /// Splits the rows into `num_shards` tables that share this table's
-  /// schema and dictionary coding verbatim: row r goes to slice
-  /// `shard_of(r)`, keeping source order within each slice, and every
-  /// dictionary is cloned unchanged rather than re-encoded — so codes (and
-  /// therefore group keys, symbols and inverted-index keys) are directly
-  /// comparable across slices and with this table. Used by the sharded
-  /// engine's load-time partitioning (engine/sharded_engine.h).
+  /// schema and its dictionaries themselves: row r goes to slice
+  /// `shard_of(r)`, keeping source order within each slice. Codes (and
+  /// therefore group keys, symbols and inverted-index keys) are the same
+  /// across slices and with this table, and a value this table's Append
+  /// codes is at once known to every slice. Used by the sharded engine
+  /// (engine/sharded_engine.h) and the shard server (tools/shard_main.cc).
   std::vector<std::unique_ptr<EventTable>> PartitionRows(
       size_t num_shards, const std::function<size_t(RowId)>& shard_of) const;
+
+  /// Copies the coded values of rows [from, num_rows()) into the slices
+  /// PartitionRows made, row r into `slices[shard_of(r) % slices.size()]`,
+  /// in source order. PartitionRows fills its slices with it, and the
+  /// sharded engine routes each committed batch with it. Cannot fail: the
+  /// rows were validated when this table took them, and the slices share
+  /// its dictionaries.
+  void CopyRowsInto(RowId from,
+                    const std::vector<std::unique_ptr<EventTable>>& slices,
+                    const std::function<size_t(RowId)>& shard_of) const;
 
   /// Dictionary of string column `col` (nullptr for non-string columns).
   const Dictionary* dictionary(int col) const {
     return dicts_[col] ? dicts_[col].get() : nullptr;
   }
-  Dictionary* mutable_dictionary(int col) { return dicts_[col].get(); }
 
  private:
   friend class TableIo;  // binary persistence (storage/io.cc)
@@ -109,7 +117,8 @@ class EventTable {
   std::vector<std::vector<Code>> code_cols_;
   std::vector<std::vector<int64_t>> int_cols_;
   std::vector<std::vector<double>> dbl_cols_;
-  std::vector<std::unique_ptr<Dictionary>> dicts_;
+  // Shared with the slices PartitionRows made (and theirs with this one).
+  std::vector<std::shared_ptr<Dictionary>> dicts_;
 };
 
 }  // namespace solap

@@ -409,12 +409,18 @@ TEST(ChaosTest, SameSeedReproducesTheSameFireCounts) {
 //     row prefix with no faults armed;
 //   - failed merges and governor rejects cost only cached state, never
 //     correctness.
-TEST(ChaosTest, ConcurrentWritersUnderFaultLoadStayEpochConsistent) {
+// It runs over a monolithic engine and over a 2-shard ShardedEngine, whose
+// facade must reject a batch before committing it or report it committed.
+template <typename Engine>
+void WritersUnderFaultLoadStayEpochConsistent(size_t shards) {
   auto table = testing::Fig8Table();
   auto reg = testing::Fig8Hierarchies();
   EngineOptions opts;
   opts.auto_delta_merge = false;  // the kicker thread drives merges
-  SOlapEngine engine(table.get(), reg.get(), opts);
+  EngineOptions engine_opts = opts;
+  engine_opts.shards = shards;
+  engine_opts.shard_by = "card-id";
+  Engine engine(table.get(), reg.get(), engine_opts);
   const size_t base_rows = table->num_rows();
   constexpr size_t kBatchRows = 2;
   constexpr size_t kWriterThreads = 2;
@@ -543,6 +549,11 @@ TEST(ChaosTest, ConcurrentWritersUnderFaultLoadStayEpochConsistent) {
         << "epoch " << epoch << " (" << rows
         << " rows) diverged from a fault-free rebuild";
   }
+}
+
+TEST(ChaosTest, ConcurrentWritersUnderFaultLoadStayEpochConsistent) {
+  WritersUnderFaultLoadStayEpochConsistent<SOlapEngine>(1);
+  WritersUnderFaultLoadStayEpochConsistent<ShardedEngine>(2);
 }
 
 // ------------------------------------------- distributed shard chaos

@@ -319,6 +319,78 @@ TEST(DistributedShard, UnhealthyMarkSkipsRpcAndFailsFast) {
   EXPECT_EQ(stats.degraded_queries, 1u);
 }
 
+// -- Replicated appends (POST /shard/append) ---------------------------------
+
+/// One card's tap-in/tap-out pair, a new sequence for the appended batch.
+void AddTrip(std::vector<std::vector<Value>>* rows, const std::string& card,
+             int64_t t) {
+  rows->push_back({Value::Timestamp(t), Value::String(card),
+                   Value::String("Pentagon"), Value::String("in"),
+                   Value::Double(0.0)});
+  rows->push_back({Value::Timestamp(t + 600), Value::String(card),
+                   Value::String("Wheaton"), Value::String("out"),
+                   Value::Double(-3.25)});
+}
+
+// Each shard server gets every dictionary tail it has not acknowledged,
+// even tails minted by batches that routed it no rows. The replicas
+// partition their own copy of the data, so their dictionaries are their
+// own: the first batch's new cards route to shard A only, and the second
+// batch's new card (the next code) routes to shard B, whose replica must
+// then receive the first batch's card-id codes too.
+TEST(DistributedShard, AppendSendsTailsAReplicaMissed) {
+  LocalCluster cluster(2);
+  TransitData coord = SmallTransit();
+  TransitData local = SmallTransit();
+  ShardedEngine distributed(coord.table.get(), coord.hierarchies.get(),
+                            CoordinatorOpts());
+  ShardedEngine in_process(local.table.get(), local.hierarchies.get(),
+                           CoordinatorOpts());
+  ASSERT_TRUE(distributed
+                  .EnableRemoteScatter(cluster.endpoints, FastRpc(),
+                                       DegradePolicy::kStrict)
+                  .ok());
+
+  // A new value takes the next code, so the placement of each new card is
+  // known before it is sent.
+  const int card_col = ResolveShardColumn(*coord.table, "card-id");
+  ASSERT_GE(card_col, 0);
+  size_t next_code = coord.table->dictionary(card_col)->size();
+  const size_t shard_a = ShardOfCode(static_cast<Code>(next_code), 2);
+  const int64_t t0 = MakeTimestamp(2007, 10, 3);
+  std::vector<std::vector<Value>> to_a, to_b;
+  while (ShardOfCode(static_cast<Code>(next_code), 2) == shard_a) {
+    AddTrip(&to_a, "a-" + std::to_string(next_code), t0 + 60 * next_code);
+    ++next_code;
+  }
+  AddTrip(&to_b, "b-" + std::to_string(next_code), t0 + 60 * next_code);
+  const size_t shard_b = 1 - shard_a;
+
+  const std::vector<size_t> slice_rows = {cluster.slices[0]->num_rows(),
+                                          cluster.slices[1]->num_rows()};
+  for (const auto* batch : {&to_a, &to_b}) {
+    ASSERT_TRUE(distributed.IngestRows(*batch).ok());
+    ASSERT_TRUE(in_process.IngestRows(*batch).ok());
+  }
+  EXPECT_TRUE(distributed.ShardHealthy(shard_a));
+  EXPECT_TRUE(distributed.ShardHealthy(shard_b));
+  EXPECT_EQ(cluster.slices[shard_a]->num_rows(),
+            slice_rows[shard_a] + to_a.size());
+  EXPECT_EQ(cluster.slices[shard_b]->num_rows(),
+            slice_rows[shard_b] + to_b.size());
+
+  ScanStats stats;
+  ExecControl ctl;
+  ctl.stats_out = &stats;
+  auto want = in_process.Execute(TransitSpec(), ExecStrategy::kCounterBased);
+  auto got =
+      distributed.Execute(TransitSpec(), ExecStrategy::kCounterBased, ctl);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectBitIdentical(**want, **got, "after replicated appends");
+  EXPECT_EQ(stats.degraded_queries, 0u);
+}
+
 // -- Drain / cancel vs in-flight scatter -------------------------------------
 
 /// Gate shared by the wrapped shard router: the handler blocks every

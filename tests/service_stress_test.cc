@@ -130,7 +130,6 @@ TEST_F(ServiceStressTest, StatTotalsIdenticalAcrossThreadCounts) {
     ServiceOptions opts;
     opts.num_threads = threads;
     opts.max_queue_depth = batch.size() + threads;
-    opts.single_flight = false;  // distinct specs: nothing to dedup
     QueryService service(&engine, opts);
     std::vector<QueryService::Ticket> tickets;
     for (const Query& q : batch) {

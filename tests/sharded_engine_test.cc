@@ -5,10 +5,11 @@
 // across a QuerySet-A-style iterative session under both strategies,
 // table-backed FP SUM merges, iceberg-after-merge semantics, the
 // non-shardable fallback route and its memory budget, concurrent clients
-// sharing one parsed spec, and — in failpoint builds — a chaos run with
-// every engine failpoint armed.
+// sharing one parsed spec, shard walkers racing facade appends, and — in
+// failpoint builds — a chaos run with every engine failpoint armed.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -26,7 +27,6 @@
 #include "solap/service/query_service.h"
 
 #ifdef SOLAP_FAILPOINTS
-#include <atomic>
 #include <functional>
 
 #include "solap/common/failpoint.h"
@@ -467,6 +467,74 @@ TEST(ShardedEngine, ServiceExportsShardCounters) {
   EXPECT_GT(service.metrics().counter("shard_merged_cells")->Value(), 0u);
 }
 
+// Walkers of the shards (memory and index-cache getters, the delta
+// snapshot, MergeDeltasNow, WarmSequenceCache, MaterializeIndex) race facade
+// appends that grow the slices. Batches alternate between new cards (the
+// formations extend) and existing cards (the formations are invalidated,
+// so the next warm-up re-forms from the slices). Every reader of a slice
+// holds the facade gate: under TSan nothing reports, and the engine
+// answers exactly afterwards.
+TEST(ShardedEngine, ShardWalksStaySafeAcrossFacadeAppends) {
+  TransitParams tp;
+  tp.num_passengers = 200;
+  tp.num_days = 1;
+  TransitData transit = GenerateTransit(tp);
+  EngineOptions opts = ShardOpts(4);
+  opts.shard_by = "card-id";
+  ShardedEngine engine(transit.table.get(), transit.hierarchies.get(), opts);
+  ASSERT_EQ(engine.num_shards(), 4u);
+  CuboidSpec spec;
+  spec.seq.cluster_by = {{"card-id", "individual"}};
+  spec.seq.sequence_by = "time";
+  spec.symbols = {"X", "Y"};
+  spec.dims = {PatternDim{"X", {"location", "station"}, {}, ""},
+               PatternDim{"Y", {"location", "station"}, {}, ""}};
+  const IndexShape shape{PatternKind::kSubstring,
+                         {{"location", "station"}, {"location", "station"}}};
+  const int card_col = 1;
+  ASSERT_EQ(transit.table->schema().field(card_col).name, "card-id");
+  const size_t base_rows = transit.table->num_rows();
+
+  std::atomic<bool> done{false};
+  std::thread walker([&] {
+    size_t sink = 0;
+    while (!done.load()) {
+      sink += engine.MemUsed() + engine.MemBudget() + engine.MemRejects() +
+              engine.IndexCacheBytes() + engine.DeltaSnapshot().bytes;
+      (void)engine.MergeDeltasNow();
+      (void)engine.WarmSequenceCache(spec.seq);
+      (void)engine.MaterializeIndex(spec.seq, shape);
+    }
+    EXPECT_GE(sink, 0u);
+  });
+  const int64_t t0 = MakeTimestamp(2007, 10, 2);
+  for (int b = 0; b < 32; ++b) {
+    std::vector<std::vector<Value>> rows;
+    for (int i = 0; i < 8; ++i) {
+      const int k = b * 8 + i;
+      const Value card =
+          b % 2 == 0 ? Value::String("new-" + std::to_string(k))
+                     : transit.table->GetValue(
+                           static_cast<RowId>((k * 37) % base_rows), card_col);
+      rows.push_back({Value::Timestamp(t0 + k * 60), card,
+                      Value::String("Pentagon"), Value::String("in"),
+                      Value::Double(0.0)});
+    }
+    ASSERT_TRUE(engine.IngestRows(rows).ok());
+  }
+  done.store(true);
+  walker.join();
+  EXPECT_EQ(engine.epoch(), 64u);
+
+  SOlapEngine fresh(static_cast<const EventTable*>(transit.table.get()),
+                    transit.hierarchies.get());
+  auto want = fresh.Execute(spec, ExecStrategy::kCounterBased);
+  auto got = engine.Execute(spec, ExecStrategy::kInvertedIndex);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectCuboidsIdentical(**want, **got, "after appends");
+}
+
 #ifdef SOLAP_FAILPOINTS
 
 // Chaos: every engine-level failpoint armed at low probability against a
@@ -529,70 +597,6 @@ TEST(ShardedEngineChaos, ScatteredQueriesUnderFaultsStayCorrect) {
   auto after = engine.Execute(spec, ExecStrategy::kCounterBased);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   ExpectCuboidsIdentical(**expect, **after, "post-disarm");
-}
-
-// A failed ingest fan-out rebuilds every shard executor. The calls that
-// walk the shards (memory and index-cache getters, the delta snapshot,
-// MergeDeltasNow, WarmSequenceCache, MaterializeIndex) hold what that
-// rebuild holds; under TSan a walker looping over them while appends keep
-// failing reports no race, and the engine answers exactly afterwards.
-TEST(ShardedEngineChaos, ShardWalksStaySafeAcrossFailedFanOutRebuilds) {
-  TransitParams tp;
-  tp.num_passengers = 200;
-  tp.num_days = 1;
-  TransitData transit = GenerateTransit(tp);
-  EngineOptions opts = ShardOpts(4);
-  opts.shard_by = "card-id";
-  ShardedEngine engine(transit.table.get(), transit.hierarchies.get(), opts);
-  ASSERT_EQ(engine.num_shards(), 4u);
-  CuboidSpec spec;
-  spec.seq.cluster_by = {{"card-id", "individual"}};
-  spec.seq.sequence_by = "time";
-  spec.symbols = {"X", "Y"};
-  spec.dims = {PatternDim{"X", {"location", "station"}, {}, ""},
-               PatternDim{"Y", {"location", "station"}, {}, ""}};
-  const IndexShape shape{PatternKind::kSubstring,
-                         {{"location", "station"}, {"location", "station"}}};
-
-  FailpointConfig fail;
-  fail.every_nth = 3;  // some shard of most fanned-out batches fails
-  FailpointRegistry::Global().Arm("ingest.append", fail);
-  std::atomic<bool> done{false};
-  std::thread walker([&] {
-    size_t sink = 0;
-    while (!done.load()) {
-      sink += engine.MemUsed() + engine.MemBudget() + engine.MemRejects() +
-              engine.IndexCacheBytes() + engine.DeltaSnapshot().bytes;
-      (void)engine.MergeDeltasNow();
-      (void)engine.WarmSequenceCache(spec.seq);
-      (void)engine.MaterializeIndex(spec.seq, shape);
-    }
-    EXPECT_GE(sink, 0u);
-  });
-  const int64_t t0 = MakeTimestamp(2007, 10, 2);
-  size_t failed = 0;
-  for (int b = 0; b < 24; ++b) {
-    std::vector<std::vector<Value>> rows;
-    for (int i = 0; i < 8; ++i) {
-      rows.push_back({Value::Timestamp(t0 + b * 600 + i),
-                      Value::String("new-" + std::to_string(b * 8 + i)),
-                      Value::String("Pentagon"), Value::String("in"),
-                      Value::Double(0.0)});
-    }
-    if (!engine.IngestRows(rows).ok()) ++failed;
-  }
-  done.store(true);
-  walker.join();
-  FailpointRegistry::Global().DisarmAll();
-  EXPECT_GT(failed, 0u);  // the rebuild path ran
-
-  SOlapEngine fresh(static_cast<const EventTable*>(transit.table.get()),
-                    transit.hierarchies.get());
-  auto want = fresh.Execute(spec, ExecStrategy::kCounterBased);
-  auto got = engine.Execute(spec, ExecStrategy::kInvertedIndex);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectCuboidsIdentical(**want, **got, "after rebuilds");
 }
 
 #endif  // SOLAP_FAILPOINTS

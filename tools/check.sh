@@ -6,7 +6,7 @@
 # its recorded baselines, then the same tests under ASan/UBSan, then the
 # service/engine/parallel-II/ingest tests under TSan (the concurrency
 # surface: engine thread-safety, thread pool, query service, sessions,
-# the shard scatter,
+# the shard scatter, shard walkers racing the sharded facade's appends,
 # the one write path — table ingest and raw appends, concurrent
 # writers + readers + the delta merger against the epoch gate — windowed
 # formations derived from a shared base while the sequence cache evicts,
@@ -19,9 +19,9 @@
 # processes (supervisor + coordinator over loopback HTTP) and runs in
 # tier-1, the ASan full suite, and the TSan filter below; the
 # failpoints stages add chaos_test's shard-kill-under-armed-rpc-faults
-# and concurrent-writers-under-fault-load scenarios under both ASan
-# and TSan, and sharded_engine_test's walk of the shards while failed
-# ingest fan-outs rebuild them.
+# and concurrent-writers-under-fault-load scenarios (over a monolith and
+# a 2-shard facade) under both ASan and TSan, and sharded_engine_test's
+# scatter under every engine failpoint.
 #
 # Usage: tools/check.sh [--tier1-only]
 set -euo pipefail
@@ -117,7 +117,7 @@ build_tests build-fp "$FP_FILTER"
 run_ctest build-fp "$FP_FILTER"
 
 echo
-echo "== failpoints + TSan: chaos suite + sharded rebuild race =="
+echo "== failpoints + TSan: chaos suite + sharded scatter chaos =="
 FP_TSAN_FILTER="chaos_test|sharded_engine_test"
 cmake -B build-fp-tsan -S . -DSOLAP_FAILPOINTS=ON -DSOLAP_SANITIZE=thread \
   >/dev/null

@@ -5,8 +5,9 @@
 #     both ways;
 #   - its §2 span catalog vs every TraceSpan construction and
 #     AddTimedSpan call under src/, both ways;
-#   - EngineOptions::<field> mentions in README.md, DESIGN.md and
-#     docs/*.md vs the fields struct EngineOptions declares.
+#   - EngineOptions::<field>, ServiceOptions::<field> and
+#     RemoteShardOptions::<field> mentions in README.md, DESIGN.md and
+#     docs/*.md vs the fields those structs declare.
 # Fails if the code emits a name the doc omits, the doc names one the
 # code no longer emits, or a doc names an option that does not exist.
 set -euo pipefail
@@ -70,25 +71,62 @@ if [[ -n "$spans_stale_in_doc" ]]; then
   fail=1
 fi
 
-# Option mentions: every EngineOptions::<field> named in README.md,
-# DESIGN.md or docs/*.md must be a field that `struct EngineOptions` in
-# engine/engine.h declares. Field lines look like
-#   size_t exec_threads = 1;   or   std::string shard_by;
-OPTS_HDR=src/solap/engine/engine.h
-option_fields=$(sed -n '/^struct EngineOptions {/,/^};/p' "$OPTS_HDR" |
-  sed -E 's/ = .*;$/;/' |
-  sed -nE 's/^ +[A-Za-z].* ([a-z_][a-z0-9_]*);$/\1/p' | sort -u)
-[[ -n "$option_fields" ]] || { echo "doc-lint: no EngineOptions fields found in $OPTS_HDR" >&2; exit 1; }
-doc_options=$(grep -ohE 'EngineOptions::[A-Za-z_][A-Za-z0-9_]*' \
-    README.md DESIGN.md docs/*.md |
-  sed 's/^EngineOptions:://' | sort -u)
-stale_options=$(comm -13 <(echo "$option_fields") <(echo "$doc_options"))
-if [[ -n "$stale_options" ]]; then
-  echo "doc-lint: EngineOptions fields named in the docs but not declared in $OPTS_HDR:" >&2
-  echo "$stale_options" | sed 's/^/  EngineOptions::/' >&2
-  fail=1
-fi
+# Option mentions: every <Struct>::<field> named in README.md, DESIGN.md
+# or docs/*.md must be a field that struct declares in its header.
+# struct_fields prints a struct's field names. Comments are dropped and
+# the body is read as one string split at the top-level semicolons, so a
+# declaration may span lines; anything inside braces or parentheses (an
+# initializer such as `retry{.max_attempts = 3, ...}`) and anything after
+# a top-level `=` is skipped, and the name is the last identifier left:
+#   size_t exec_threads = 1;   std::string shard_by = {};
+#   RetryPolicy retry{...};    std::chrono::milliseconds default_timeout{0};
+struct_fields() {  # struct_fields <header> <struct>
+  sed -n "/^struct $2 {/,/^};/p" "$1" | sed -e '1d;$d' -e 's://.*$::' |
+    awk '{ body = body " " $0 }
+      END {
+        depth = 0
+        decl = ""
+        for (i = 1; i <= length(body); i++) {
+          c = substr(body, i, 1)
+          if (c == "{" || c == "(") { depth++; continue }
+          if (c == "}" || c == ")") { depth--; continue }
+          if (depth > 0) continue
+          if (c != ";") { decl = decl c; continue }
+          sub(/=.*/, "", decl)
+          if (match(decl, /[A-Za-z_][A-Za-z0-9_]*[ \t]*$/)) {
+            name = substr(decl, RSTART, RLENGTH)
+            gsub(/[ \t]/, "", name)
+            print name
+          }
+          decl = ""
+        }
+      }' | sort -u
+}
+
+options_named=0
+check_options() {  # check_options <struct> <header>
+  local fields named stale
+  fields=$(struct_fields "$2" "$1")
+  if [[ -z "$fields" ]]; then
+    echo "doc-lint: no $1 fields found in $2" >&2
+    fail=1
+    return
+  fi
+  named=$( (grep -ohE "\b$1::[A-Za-z_][A-Za-z0-9_]*" \
+      README.md DESIGN.md docs/*.md || true) |
+    sed "s/^$1:://" | sort -u)
+  stale=$(comm -13 <(echo "$fields") <(echo "$named") | grep . || true)
+  if [[ -n "$stale" ]]; then
+    echo "doc-lint: $1 fields named in the docs but not declared in $2:" >&2
+    echo "$stale" | sed "s/^/  $1::/" >&2
+    fail=1
+  fi
+  options_named=$((options_named + $(echo "$named" | grep -c . || true)))
+}
+check_options EngineOptions src/solap/engine/engine.h
+check_options ServiceOptions src/solap/service/query_service.h
+check_options RemoteShardOptions src/solap/engine/remote_shard.h
 
 if [[ "$fail" -ne 0 ]]; then exit 1; fi
 echo "ok: $(echo "$code_names" | wc -l) metric names and $(echo "$code_spans" | wc -l) span names in sync with $DOC;" \
-  "$(echo "$doc_options" | grep -c .) EngineOptions fields named in the docs all declared"
+  "$options_named option fields named in the docs all declared"

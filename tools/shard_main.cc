@@ -7,8 +7,8 @@
 //       [--memory-budget-bytes N]
 //
 // The slice is computed here with the SAME placement function the
-// coordinator uses (engine/shard_partition.h over the snapshot's cloned
-// dictionaries), so shard i of n holds exactly the rows the coordinator's
+// coordinator uses (engine/shard_partition.h over the snapshot's
+// dictionary codes), so shard i of n holds exactly the rows the coordinator's
 // in-process shard i would — the precondition for bit-identical answers.
 //
 // On successful start the bound port is printed as "PORT=<p>" and, when
