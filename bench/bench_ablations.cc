@@ -3,9 +3,11 @@
 //  - iceberg S-cuboids: cells surviving vs minimum-support threshold;
 //  - bitmap-encoded joins: the same join on sparse and on dense lists,
 //    with the container kernel mix the joins ran;
-//  - incremental update: maintaining indices from a delta vs rebuilding;
-//  - online aggregation: how early a usable estimate of the hottest cell
-//    becomes available.
+//  - incremental update: maintaining indices from a delta vs rebuilding.
+// The online-aggregation part (how early a usable estimate of the hottest
+// cell became available) was removed together with the engine's online
+// aggregation entry point, which no served path called; its last recorded
+// result is kept in EXPERIMENTS.md E10.
 #include <cstdio>
 #include <utility>
 
@@ -78,33 +80,6 @@ void IncrementalVsRebuild(const SyntheticParams& params,
   (void)data;
 }
 
-void OnlineEstimates(const SyntheticData& data) {
-  std::printf("-- Online aggregation: hottest-cell estimate vs fraction "
-              "processed --\n");
-  SOlapEngine offline(data.groups, data.hierarchies.get());
-  auto exact = offline.Execute(XYSpec());
-  if (!exact.ok()) std::exit(1);
-  CellKey hot = (*exact)->ArgMaxCell();
-  double exact_count = (*exact)->CellAt(hot).count;
-  std::printf("exact hottest-cell count: %.0f\n", exact_count);
-  std::printf("%12s %16s %12s\n", "fraction", "scaled estimate",
-              "error(%)");
-  SOlapEngine engine(data.groups, data.hierarchies.get());
-  double next_report = 0.1;
-  auto r = engine.ExecuteOnline(
-      XYSpec(), 1000, [&](const SCuboid& partial, double fraction) {
-        if (fraction + 1e-9 >= next_report) {
-          double estimate = partial.CellAt(hot).count / fraction;
-          std::printf("%12.2f %16.0f %12.2f\n", fraction, estimate,
-                      100.0 * (estimate - exact_count) / exact_count);
-          next_report += 0.2;
-        }
-        return true;
-      });
-  if (!r.ok()) std::exit(1);
-  std::printf("\n");
-}
-
 // The §6 bitmap idea as the container posting lists realize it: a chunk
 // holding more than 4096 sids is a bitmap container, so the joins of a
 // dense data set (few symbols, long lists) run word-parallel ANDs and
@@ -151,12 +126,10 @@ int Run(int argc, char** argv) {
   IcebergSweep(data);
   BitmapJoinAblation(params);
   IncrementalVsRebuild(params, data);
-  OnlineEstimates(data);
   std::printf(
       "Expected shape: iceberg cost flat while surviving cells collapse; "
       "dense lists move the join's kernel mix to bitmap ops; "
-      "incremental maintenance cost tracks the delta, not the dataset; "
-      "online estimates within a few percent well before 100%%.\n");
+      "incremental maintenance cost tracks the delta, not the dataset.\n");
   return 0;
 }
 

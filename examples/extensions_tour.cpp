@@ -1,11 +1,13 @@
-// Tour of the §6 extensions: iceberg S-cuboids, online aggregation,
-// incremental update, and bitmap-encoded inverted indices (the bitmap
-// containers of the posting lists).
+// Tour of the §6 extensions: iceberg S-cuboids, incremental update, and
+// bitmap-encoded inverted indices (the bitmap containers of the posting
+// lists). The tour's online-aggregation and materialization-advisor
+// sections were removed together with that engine code, which no query
+// path, shell command or service route called; EXPERIMENTS.md E10 keeps
+// the recorded online-aggregation result.
 //
 //   ./build/examples/extensions_tour
 #include <cstdio>
 
-#include "solap/engine/advisor.h"
 #include "solap/engine/engine.h"
 #include "solap/gen/synthetic.h"
 #include "solap/index/build_index.h"
@@ -34,64 +36,27 @@ int main() {
   std::printf("1. Iceberg: %zu cells -> %zu cells with min support 500\n\n",
               (*full)->num_cells(), (*ice)->num_cells());
 
-  // 2. Online aggregation: report what we know so far; stop at 30%% with a
-  //    scaled estimate of the hottest cell.
-  CellKey hot = (*full)->ArgMaxCell();
-  double exact = (*full)->CellAt(hot).count;
-  SOlapEngine online_engine(data.groups, data.hierarchies.get());
-  std::printf("2. Online aggregation (exact hottest count = %.0f):\n",
-              exact);
-  (void)online_engine.ExecuteOnline(
-      spec, 5000, [&](const SCuboid& partial, double fraction) {
-        std::printf("   %.0f%% processed -> estimate %.0f\n",
-                    fraction * 100,
-                    partial.CellAt(hot).count / fraction);
-        return fraction < 0.3;  // stop once we trust the estimate
-      });
-  std::printf("\n");
-
-  // 3. Incremental update: a new day of sequences arrives; cached complete
+  // 2. Incremental update: a new day of sequences arrives; cached complete
   //    indices are extended by scanning only the delta.
   SOlapEngine inc_engine(data.groups, data.hierarchies.get());
   (void)inc_engine.Execute(spec, ExecStrategy::kInvertedIndex);
   uint64_t scans_before = inc_engine.stats().sequences_scanned;
   auto delta = GenerateSyntheticBatch(params, 2'000, 20071226);
   if (!inc_engine.AppendRawSequences(0, delta).ok()) return 1;
-  std::printf("3. Incremental update: appended %zu sequences; index "
+  std::printf("2. Incremental update: appended %zu sequences; index "
               "maintenance scanned %llu sequences (the delta only)\n\n",
               delta.size(),
               static_cast<unsigned long long>(
                   inc_engine.stats().sequences_scanned - scans_before));
 
-  // 4. Materialization advisor: given tomorrow's expected workload and a
-  //    storage budget, which indices should tonight's batch job build?
-  {
-    MaterializationAdvisor advisor(&engine);
-    CuboidSpec xyz = spec;
-    xyz.symbols = {"X", "Y", "Z"};
-    xyz.dims.push_back(
-        PatternDim{"Z", {SyntheticData::kAttr, "symbol"}, {}, ""});
-    auto recs = advisor.Recommend({{spec, 10.0}, {xyz, 1.0}},
-                                  size_t{32} << 20);
-    if (!recs.ok()) return 1;
-    std::printf("4. Materialization advisor (32 MB budget):\n");
-    for (const IndexRecommendation& r : *recs) {
-      std::printf("   build %s\n", r.ToString().c_str());
-    }
-    if (!advisor.Materialize(*recs).ok()) return 1;
-    std::printf("   materialized: %.1f MB of indices now serve the "
-                "workload\n\n",
-                engine.IndexCacheBytes() / 1048576.0);
-  }
-
-  // 5. Bitmap-encoded inverted index: every posting list is chunked into
+  // 3. Bitmap-encoded inverted index: every posting list is chunked into
   //    array / bitmap / run containers, and a chunk holding more than 4096
   //    sids is a bitmap, so joins over dense lists run word-parallel ANDs.
   //    The same data with a 5-symbol alphabet has dense lists.
   SyntheticParams dense_params = params;
   dense_params.num_symbols = 5;
   SyntheticData dense = GenerateSynthetic(dense_params);
-  std::printf("5. Bitmap containers (L2 index of the first group):\n");
+  std::printf("3. Bitmap containers (L2 index of the first group):\n");
   for (const SyntheticData* d : {&data, &dense}) {
     IndexShape shape;
     shape.positions.assign(2, LevelRef{SyntheticData::kAttr, "symbol"});

@@ -8,6 +8,7 @@
 #define SOLAP_COMMON_STATS_H_
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 namespace solap {
@@ -80,40 +81,74 @@ struct ScanStats {
 
   void Clear() { *this = ScanStats{}; }
 
-  ScanStats& operator+=(const ScanStats& o) {
-    sequences_scanned += o.sequences_scanned;
-    lists_built += o.lists_built;
-    list_intersections += o.list_intersections;
-    intersections_linear += o.intersections_linear;
-    intersections_galloping += o.intersections_galloping;
-    intersections_bitmap += o.intersections_bitmap;
-    container_array_ops += o.container_array_ops;
-    container_bitmap_ops += o.container_bitmap_ops;
-    container_run_ops += o.container_run_ops;
-    container_gallop_ops += o.container_gallop_ops;
-    index_bytes_built += o.index_bytes_built;
-    repository_hits += o.repository_hits;
-    index_cache_hits += o.index_cache_hits;
-    degraded_queries += o.degraded_queries;
-    shard_scatters += o.shard_scatters;
-    shard_partials += o.shard_partials;
-    shard_merged_cells += o.shard_merged_cells;
-    shard_fallbacks += o.shard_fallbacks;
-    shard_rpc_retries += o.shard_rpc_retries;
-    shard_rpc_hedges += o.shard_rpc_hedges;
-    partial_answers += o.partial_answers;
-    ingested_events += o.ingested_events;
-    delta_merges += o.delta_merges;
-    cuboid_patches += o.cuboid_patches;
-    stale_cuboid_invalidations += o.stale_cuboid_invalidations;
-    formation_invalidations += o.formation_invalidations;
-    formations_derived += o.formations_derived;
-    return *this;
-  }
+  /// Sums every counter (kStatsFields): all of them are distributive.
+  ScanStats& operator+=(const ScanStats& o);
 
-  /// One-line human-readable rendering for logs and benches.
+  /// One-line `key=value` rendering of every counter, in table order, for
+  /// logs and benches.
   std::string ToString() const;
 };
+
+/// One row per ScanStats counter, and the only list of them: merging,
+/// ToString, the shard-partial codec (cube/partial_codec.cc), the query
+/// service's per-query /metrics counters (service/query_service.cc) and
+/// the docs lint (tools/doc_lint.sh) all walk this table, so adding a
+/// counter is one member, one row and its increment site.
+struct StatsField {
+  /// Codec key and ToString label.
+  const char* key;
+  uint64_t ScanStats::*member;
+  /// /metrics counter the query service advances by each answered query's
+  /// value; empty for counters not published per query (the ingest
+  /// counters are engine totals, published from their own sites).
+  const char* metric;
+};
+
+inline constexpr StatsField kStatsFields[] = {
+    {"sequences_scanned", &ScanStats::sequences_scanned, "sequences_scanned"},
+    {"lists_built", &ScanStats::lists_built, ""},
+    {"list_intersections", &ScanStats::list_intersections, ""},
+    {"intersections_linear", &ScanStats::intersections_linear, ""},
+    {"intersections_galloping", &ScanStats::intersections_galloping, ""},
+    {"intersections_bitmap", &ScanStats::intersections_bitmap, ""},
+    {"container_array_ops", &ScanStats::container_array_ops,
+     "ii_container_array_ops"},
+    {"container_bitmap_ops", &ScanStats::container_bitmap_ops,
+     "ii_container_bitmap_ops"},
+    {"container_run_ops", &ScanStats::container_run_ops,
+     "ii_container_run_ops"},
+    {"container_gallop_ops", &ScanStats::container_gallop_ops,
+     "ii_container_gallop_ops"},
+    {"index_bytes_built", &ScanStats::index_bytes_built, ""},
+    {"repository_hits", &ScanStats::repository_hits, "repository_hits"},
+    {"index_cache_hits", &ScanStats::index_cache_hits, "index_cache_hits"},
+    {"degraded_queries", &ScanStats::degraded_queries, "degraded_queries"},
+    {"shard_scatters", &ScanStats::shard_scatters, "shard_scatters"},
+    {"shard_partials", &ScanStats::shard_partials, "shard_partials"},
+    {"shard_merged_cells", &ScanStats::shard_merged_cells,
+     "shard_merged_cells"},
+    {"shard_fallbacks", &ScanStats::shard_fallbacks, "shard_fallbacks"},
+    {"shard_rpc_retries", &ScanStats::shard_rpc_retries, "shard_rpc_retries"},
+    {"shard_rpc_hedges", &ScanStats::shard_rpc_hedges, ""},
+    {"partial_answers", &ScanStats::partial_answers, "partial_answers"},
+    {"ingested_events", &ScanStats::ingested_events, ""},
+    {"delta_merges", &ScanStats::delta_merges, ""},
+    {"cuboid_patches", &ScanStats::cuboid_patches, ""},
+    {"stale_cuboid_invalidations", &ScanStats::stale_cuboid_invalidations,
+     ""},
+    {"formation_invalidations", &ScanStats::formation_invalidations, ""},
+    {"formations_derived", &ScanStats::formations_derived,
+     "formations_derived"},
+};
+
+// Every member is a uint64_t counter with a row above.
+static_assert(sizeof(ScanStats) == std::size(kStatsFields) * sizeof(uint64_t),
+              "each ScanStats counter needs a kStatsFields row");
+
+inline ScanStats& ScanStats::operator+=(const ScanStats& o) {
+  for (const StatsField& f : kStatsFields) this->*f.member += o.*f.member;
+  return *this;
+}
 
 }  // namespace solap
 

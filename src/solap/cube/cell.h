@@ -32,7 +32,7 @@ struct CellValue {
     if (v > max) max = v;
   }
 
-  /// Merges another cell's state (used by online aggregation snapshots).
+  /// Merges another cell's state (shard gather, partial decode, II fast count).
   void Merge(const CellValue& o) {
     count += o.count;
     sum += o.sum;

@@ -46,7 +46,7 @@ class SCuboid {
   /// across the CB, II and ingest-patch paths (cube/partial_codec.h
   /// encodes the full cell state).
   void AddCountOnly(const CellKey& key) { ++cells_[key].count; }
-  /// Merges a full cell state (online aggregation snapshots).
+  /// Merges a full cell state (shard gather, partial decode, II fast count).
   void MergeCell(const CellKey& key, const CellValue& v) {
     cells_[key].Merge(v);
   }

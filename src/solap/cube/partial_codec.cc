@@ -157,39 +157,8 @@ Result<ExprPtr> ExprFrom(const JsonValue& v, const char* what) {
 
 // --- ScanStats ------------------------------------------------------------
 
-// Field list shared by encode and decode so the two cannot drift: adding a
-// ScanStats counter without extending this table breaks the codec test's
-// exhaustive round trip.
-struct StatsField {
-  const char* key;
-  uint64_t ScanStats::* member;
-};
-
-constexpr StatsField kStatsFields[] = {
-    {"sequences_scanned", &ScanStats::sequences_scanned},
-    {"lists_built", &ScanStats::lists_built},
-    {"list_intersections", &ScanStats::list_intersections},
-    {"intersections_linear", &ScanStats::intersections_linear},
-    {"intersections_galloping", &ScanStats::intersections_galloping},
-    {"intersections_bitmap", &ScanStats::intersections_bitmap},
-    {"container_array_ops", &ScanStats::container_array_ops},
-    {"container_bitmap_ops", &ScanStats::container_bitmap_ops},
-    {"container_run_ops", &ScanStats::container_run_ops},
-    {"container_gallop_ops", &ScanStats::container_gallop_ops},
-    {"index_bytes_built", &ScanStats::index_bytes_built},
-    {"repository_hits", &ScanStats::repository_hits},
-    {"index_cache_hits", &ScanStats::index_cache_hits},
-    {"degraded_queries", &ScanStats::degraded_queries},
-    {"shard_scatters", &ScanStats::shard_scatters},
-    {"shard_partials", &ScanStats::shard_partials},
-    {"shard_merged_cells", &ScanStats::shard_merged_cells},
-    {"shard_fallbacks", &ScanStats::shard_fallbacks},
-    {"shard_rpc_retries", &ScanStats::shard_rpc_retries},
-    {"shard_rpc_hedges", &ScanStats::shard_rpc_hedges},
-    {"partial_answers", &ScanStats::partial_answers},
-    {"formations_derived", &ScanStats::formations_derived},
-};
-
+// Encode and decode walk the one counter table (common/stats.h), so the
+// wire carries every ScanStats field.
 void AppendStats(std::ostringstream& os, const ScanStats& stats) {
   os << "{";
   bool first = true;

@@ -1,13 +1,12 @@
 // The S-OLAP engine (paper §4, Fig. 6): executes S-cuboid specifications
 // through the counter-based (CB) or inverted-index (II) strategy, caches
 // sequence groups, inverted indices and computed cuboids, and hosts the
-// §6 extensions (iceberg filtering, online aggregation, incremental update).
+// §6 extensions (iceberg filtering, incremental update).
 #ifndef SOLAP_ENGINE_ENGINE_H_
 #define SOLAP_ENGINE_ENGINE_H_
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -168,16 +167,6 @@ class SOlapEngine {
                                                  ExecStrategy strategy,
                                                  const ExecControl& control);
 
-  /// Online aggregation (paper §6): runs `spec` with the CB strategy,
-  /// invoking `progress` after every `report_every` sequences with the
-  /// partial cuboid and the fraction of sequences processed so far. The
-  /// callback may return false to stop early, in which case the partial
-  /// (approximate) cuboid is returned and *not* cached.
-  using ProgressFn = std::function<bool(const SCuboid& partial,
-                                        double fraction_processed)>;
-  Result<std::shared_ptr<const SCuboid>> ExecuteOnline(
-      const CuboidSpec& spec, size_t report_every, const ProgressFn& progress);
-
   // -- Offline index precomputation (paper §4.2.2) ---------------------------
 
   /// Builds the complete size-m inverted index whose positions all use
@@ -194,8 +183,8 @@ class SOlapEngine {
   Status WarmSequenceCache(const SequenceSpec& spec);
 
   /// Builds the complete index of `shape` for every sequence group formed
-  /// by `formation` and caches them (the MaterializationAdvisor's build
-  /// hook; also usable directly for hand-picked shapes).
+  /// by `formation` and caches them (PrecomputeIndex's build step, also
+  /// callable directly with a hand-picked shape).
   Status MaterializeIndex(const SequenceSpec& formation,
                           const IndexShape& shape);
 
@@ -362,8 +351,8 @@ class SOlapEngine {
   // CB strategy (engine/counter_based.cc).
   Status RunCounterBased(QueryContext& ctx);
   /// Scans sequences [begin, end) of one group, folding assignments into
-  /// `cuboid` and counting into `stats` — the unit shared by the CB scan,
-  /// online aggregation and the cuboid delta patch (engine/ingest.cc).
+  /// `cuboid` and counting into `stats` — the unit shared by the CB scan
+  /// and the cuboid delta patch (engine/ingest.cc).
   Status CounterScanRange(const QueryContext& ctx, SequenceGroup& group,
                           const BoundPattern& bp, Sid begin, Sid end,
                           SCuboid* cuboid, ScanStats* stats) const;

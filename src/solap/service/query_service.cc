@@ -15,6 +15,18 @@ double MsBetween(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+// One handle per kStatsFields row, null where the row names no metric.
+std::array<Counter*, std::size(kStatsFields)> PerQueryCounters(
+    MetricsRegistry& metrics) {
+  std::array<Counter*, std::size(kStatsFields)> out{};
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (*kStatsFields[i].metric != '\0') {
+      out[i] = metrics.counter(kStatsFields[i].metric);
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 QueryService::QueryService(SOlapEngine* engine, ServiceOptions options)
@@ -36,21 +48,7 @@ QueryService::QueryService(ShardedEngine* engine, ServiceOptions options)
       shed_(metrics_.counter("queries_shed")),
       timeouts_(metrics_.counter("queries_timeout")),
       cancelled_(metrics_.counter("queries_cancelled")),
-      repo_hits_(metrics_.counter("repository_hits")),
-      index_hits_(metrics_.counter("index_cache_hits")),
-      seqs_scanned_(metrics_.counter("sequences_scanned")),
-      degraded_(metrics_.counter("degraded_queries")),
-      container_array_ops_(metrics_.counter("ii_container_array_ops")),
-      container_bitmap_ops_(metrics_.counter("ii_container_bitmap_ops")),
-      container_run_ops_(metrics_.counter("ii_container_run_ops")),
-      container_gallop_ops_(metrics_.counter("ii_container_gallop_ops")),
-      shard_scatters_(metrics_.counter("shard_scatters")),
-      shard_partials_(metrics_.counter("shard_partials")),
-      shard_merged_cells_(metrics_.counter("shard_merged_cells")),
-      shard_fallbacks_(metrics_.counter("shard_fallbacks")),
-      shard_rpc_retries_(metrics_.counter("shard_rpc_retries")),
-      partial_answers_(metrics_.counter("partial_answers")),
-      formations_derived_(metrics_.counter("formations_derived")),
+      stat_counters_(PerQueryCounters(metrics_)),
       ingest_events_(metrics_.counter("ingest_events")),
       delta_merges_(metrics_.counter("delta_merges")),
       stale_cuboid_invalidations_(
@@ -232,21 +230,11 @@ void QueryService::Execute(
       exec_auto_->ObserveMs(resp.exec_ms);
       break;
   }
-  repo_hits_->Inc(resp.stats.repository_hits);
-  index_hits_->Inc(resp.stats.index_cache_hits);
-  seqs_scanned_->Inc(resp.stats.sequences_scanned);
-  degraded_->Inc(resp.stats.degraded_queries);
-  container_array_ops_->Inc(resp.stats.container_array_ops);
-  container_bitmap_ops_->Inc(resp.stats.container_bitmap_ops);
-  container_run_ops_->Inc(resp.stats.container_run_ops);
-  container_gallop_ops_->Inc(resp.stats.container_gallop_ops);
-  shard_scatters_->Inc(resp.stats.shard_scatters);
-  shard_partials_->Inc(resp.stats.shard_partials);
-  shard_merged_cells_->Inc(resp.stats.shard_merged_cells);
-  shard_fallbacks_->Inc(resp.stats.shard_fallbacks);
-  shard_rpc_retries_->Inc(resp.stats.shard_rpc_retries);
-  partial_answers_->Inc(resp.stats.partial_answers);
-  formations_derived_->Inc(resp.stats.formations_derived);
+  for (size_t i = 0; i < stat_counters_.size(); ++i) {
+    if (stat_counters_[i] != nullptr) {
+      stat_counters_[i]->Inc(resp.stats.*kStatsFields[i].member);
+    }
+  }
 
   if (result.ok()) {
     resp.cuboid = *std::move(result);

@@ -14,16 +14,19 @@
 #ifndef SOLAP_SERVICE_QUERY_SERVICE_H_
 #define SOLAP_SERVICE_QUERY_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 
 #include "solap/common/metrics.h"
+#include "solap/common/stats.h"
 #include "solap/common/stop.h"
 #include "solap/engine/engine.h"
 #include "solap/engine/sharded_engine.h"
@@ -237,21 +240,8 @@ class QueryService {
   Counter* shed_;
   Counter* timeouts_;
   Counter* cancelled_;
-  Counter* repo_hits_;
-  Counter* index_hits_;
-  Counter* seqs_scanned_;
-  Counter* degraded_;
-  Counter* container_array_ops_;
-  Counter* container_bitmap_ops_;
-  Counter* container_run_ops_;
-  Counter* container_gallop_ops_;
-  Counter* shard_scatters_;
-  Counter* shard_partials_;
-  Counter* shard_merged_cells_;
-  Counter* shard_fallbacks_;
-  Counter* shard_rpc_retries_;
-  Counter* partial_answers_;
-  Counter* formations_derived_;
+  // Per-query ScanStats counters, indexed like kStatsFields.
+  std::array<Counter*, std::size(kStatsFields)> stat_counters_;
   Counter* ingest_events_;
   Counter* delta_merges_;
   Counter* stale_cuboid_invalidations_;

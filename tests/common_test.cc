@@ -98,6 +98,26 @@ TEST(StatsTest, AccumulatesAndPrints) {
   EXPECT_EQ(a.sequences_scanned, 0u);
 }
 
+TEST(StatsTest, TableDrivesMergeAndToStringForEveryField) {
+  ScanStats a, b;
+  uint64_t v = 1;
+  for (const StatsField& f : kStatsFields) {
+    a.*f.member = v;
+    b.*f.member = 1000 * v;
+    ++v;
+  }
+  a += b;
+  const std::string text = a.ToString();
+  v = 1;
+  for (const StatsField& f : kStatsFields) {
+    EXPECT_EQ(a.*f.member, 1001 * v) << f.key;
+    EXPECT_NE(text.find(std::string(f.key) + "=" + std::to_string(1001 * v)),
+              std::string::npos)
+        << f.key << " missing from: " << text;
+    ++v;
+  }
+}
+
 TEST(TypesTest, CodeVecHashDiscriminates) {
   CodeVecHash h;
   EXPECT_NE(h(PatternKey{1, 2}), h(PatternKey{2, 1}));

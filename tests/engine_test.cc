@@ -2,8 +2,7 @@
 //  - query Q3 (Fig. 11/12): 2D S-cuboid with the in/out matching predicate;
 //  - query Q1 (Fig. 3): the round-trip (X,Y,Y,X) cuboid;
 //  - the §3.4 non-summarizability counter-example;
-//  - cell restrictions, aggregates, caches, online aggregation and
-//    incremental update.
+//  - cell restrictions, aggregates, caches and incremental update.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -312,42 +311,6 @@ TEST_F(EngineTest, IndexReuseAcrossIterativeQueries) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(engine.stats().index_cache_hits, hits_before);
   EXPECT_EQ(CellByLabels(**r, {"Pentagon", "Wheaton"}), 2);  // (P,W,W)
-}
-
-TEST_F(EngineTest, OnlineAggregationProgressAndEarlyStop) {
-  auto raw = Fig8RawGroups();
-  SOlapEngine engine(raw, reg_.get());
-  CuboidSpec spec;
-  spec.symbols = {"X", "Y"};
-  spec.dims = {PatternDim{"X", {"symbol", "symbol"}, {}, ""},
-               PatternDim{"Y", {"symbol", "symbol"}, {}, ""}};
-
-  std::vector<double> fractions;
-  auto full = engine.ExecuteOnline(
-      spec, 1, [&](const SCuboid& partial, double fraction) {
-        fractions.push_back(fraction);
-        EXPECT_LE(partial.num_cells(), 9u);
-        return true;
-      });
-  ASSERT_TRUE(full.ok());
-  ASSERT_EQ(fractions.size(), 4u);
-  EXPECT_DOUBLE_EQ(fractions.back(), 1.0);
-  for (size_t i = 1; i < fractions.size(); ++i) {
-    EXPECT_GT(fractions[i], fractions[i - 1]);
-  }
-  // The completed online run matches the offline answer.
-  SOlapEngine offline(raw, reg_.get());
-  auto exact = offline.Execute(spec);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ((*full)->num_cells(), (*exact)->num_cells());
-
-  // Early stop returns a partial cuboid and does not cache it.
-  SOlapEngine engine2(raw, reg_.get());
-  auto partial = engine2.ExecuteOnline(
-      spec, 1, [&](const SCuboid&, double) { return false; });
-  ASSERT_TRUE(partial.ok());
-  EXPECT_LT((*partial)->num_cells(), (*exact)->num_cells());
-  EXPECT_EQ(engine2.repository().size(), 0u);
 }
 
 TEST_F(EngineTest, IncrementalAppendMatchesRebuild) {

@@ -1,6 +1,5 @@
 // Tests for the §6 extensions working together: iceberg S-cuboids through
-// the query language, online aggregation as progressive estimation, and
-// incremental update under day-batch arrival.
+// the query language and incremental update under day-batch arrival.
 #include <gtest/gtest.h>
 
 #include "solap/engine/engine.h"
@@ -63,33 +62,6 @@ TEST(IcebergTest, ParsedIcebergKeywordFiltersCells) {
   }
 }
 
-TEST(OnlineAggregationTest, PartialCountsScaleTowardExact) {
-  SyntheticData data = SmallData();
-  SOlapEngine engine(data.groups, data.hierarchies.get());
-  CuboidSpec spec = XYSpec();
-  SOlapEngine offline(data.groups, data.hierarchies.get());
-  auto exact = offline.Execute(spec);
-  ASSERT_TRUE(exact.ok());
-  CellKey hot = (*exact)->ArgMaxCell();
-  double exact_count = (*exact)->CellAt(hot).count;
-
-  // At the halfway callback, count/fraction is a usable estimator of the
-  // final count (the paper's "approximate numbers like 200,000 would be
-  // informative enough" motivation).
-  double estimate = 0;
-  auto r = engine.ExecuteOnline(
-      spec, 50, [&](const SCuboid& partial, double fraction) {
-        if (fraction >= 0.5 && estimate == 0) {
-          estimate = partial.CellAt(hot).count / fraction;
-          return false;  // stop early with the estimate
-        }
-        return true;
-      });
-  ASSERT_TRUE(r.ok());
-  EXPECT_GT(estimate, 0);
-  EXPECT_NEAR(estimate, exact_count, exact_count * 0.35);
-}
-
 TEST(IncrementalTest, DayBatchesKeepIndexBytesGrowing) {
   SyntheticParams p;
   p.num_sequences = 300;
@@ -128,14 +100,6 @@ TEST(IncrementalTest, AppendValidation) {
   EventTable table(schema);
   SOlapEngine table_engine(&table, nullptr);
   EXPECT_FALSE(table_engine.AppendRawSequences(0, {}).ok());
-}
-
-TEST(OnlineAggregationTest, RejectsZeroChunk) {
-  SyntheticData data = SmallData();
-  SOlapEngine engine(data.groups, data.hierarchies.get());
-  auto r = engine.ExecuteOnline(XYSpec(), 0,
-                                [](const SCuboid&, double) { return true; });
-  EXPECT_FALSE(r.ok());
 }
 
 }  // namespace

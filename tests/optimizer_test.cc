@@ -54,6 +54,25 @@ TEST(OptimizerTest, CachedExactIndexPrefersInvertedIndex) {
   EXPECT_NE(choice->reason.find("exact"), std::string::npos);
 }
 
+TEST(OptimizerTest, PrecomputedIndexFeedsTheOptimizerAndEngine) {
+  // An index built offline by PrecomputeIndex (MaterializeIndex) is an
+  // exact cache hit: zero-cost II, and executing it scans no sequence.
+  SyntheticData data = SmallData();
+  SOlapEngine engine(data.groups, data.hierarchies.get());
+  ASSERT_TRUE(
+      engine.PrecomputeIndex(XYSpec(), 2, {SyntheticData::kAttr, "symbol"})
+          .ok());
+  EXPECT_GT(engine.IndexCacheBytes(), 0u);
+  StrategyOptimizer opt(&engine);
+  auto choice = opt.Choose(XYSpec());
+  ASSERT_TRUE(choice.ok());
+  EXPECT_EQ(choice->strategy, ExecStrategy::kInvertedIndex);
+  EXPECT_EQ(choice->ii_cost, 0.0);
+  const uint64_t before = engine.stats().sequences_scanned;
+  ASSERT_TRUE(engine.Execute(XYSpec(), ExecStrategy::kInvertedIndex).ok());
+  EXPECT_EQ(engine.stats().sequences_scanned, before);
+}
+
 TEST(OptimizerTest, RollUpAfterFineIndexPrefersMerge) {
   SyntheticData data = SmallData();
   SOlapEngine engine(data.groups, data.hierarchies.get());

@@ -108,14 +108,7 @@ SCuboid RandomCuboid(std::mt19937_64& rng) {
 ScanStats RandomStats(std::mt19937_64& rng) {
   std::uniform_int_distribution<uint64_t> v(0, 1u << 20);
   ScanStats s;
-  s.sequences_scanned = v(rng);
-  s.lists_built = v(rng);
-  s.list_intersections = v(rng);
-  s.index_bytes_built = v(rng);
-  s.repository_hits = v(rng);
-  s.shard_partials = v(rng);
-  s.shard_rpc_retries = v(rng);
-  s.partial_answers = v(rng);
+  for (const StatsField& f : kStatsFields) s.*f.member = v(rng);
   return s;
 }
 
@@ -128,11 +121,30 @@ TEST(PartialCodecTest, FuzzRoundTripIsBitIdentical) {
     auto decoded = DecodeShardPartial(wire);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString() << "\n" << wire;
     ExpectBitIdentical(original, *decoded->cuboid);
-    EXPECT_EQ(stats.sequences_scanned, decoded->stats.sequences_scanned);
-    EXPECT_EQ(stats.lists_built, decoded->stats.lists_built);
-    EXPECT_EQ(stats.index_bytes_built, decoded->stats.index_bytes_built);
-    EXPECT_EQ(stats.shard_rpc_retries, decoded->stats.shard_rpc_retries);
-    EXPECT_EQ(stats.partial_answers, decoded->stats.partial_answers);
+    // Every counter crosses the wire, the ingest counters included.
+    for (const StatsField& f : kStatsFields) {
+      EXPECT_EQ(stats.*f.member, decoded->stats.*f.member) << f.key;
+    }
+  }
+}
+
+TEST(PartialCodecTest, EveryStatsKeyIsRequired) {
+  SCuboid cuboid({DimDescriptor{"X", LevelRef{"a", "base"}, true}},
+                 AggKind::kCount);
+  std::mt19937_64 rng(7);
+  const std::string wire = EncodeShardPartial(cuboid, RandomStats(rng));
+  auto payload = DecodeShardEnvelope(wire);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  for (const StatsField& f : kStatsFields) {
+    // Rename the key inside a freshly CRC-tagged envelope: the payload
+    // stays well-formed but lacks the counter.
+    std::string text(*payload);
+    const std::string key = std::string("\"") + f.key + "\":";
+    const size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << f.key;
+    text.insert(at + 1, "no_");
+    EXPECT_FALSE(DecodeShardPartial(EncodeShardEnvelope(text)).ok())
+        << "payload without " << f.key << " decoded";
   }
 }
 

@@ -679,7 +679,9 @@ TEST(DerivedFormationProperty, DerivedEqualsFreshFormationOnOneShard) {
     auto want = sqe.Build(*data.table, c.seq);
     ASSERT_TRUE(want.ok()) << c.name;
     ExpectSameFormation(**got, **want, c.name);
-    if (c.name == "empty") EXPECT_TRUE((*got)->groups().empty());
+    if (c.name == "empty") {
+      EXPECT_TRUE((*got)->groups().empty());
+    }
     if (c.name == "group_by_day_reordered") {
       SequenceSpec whole = c.seq;
       whole.where = nullptr;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Keeps the docs in sync with the code:
 #   - the docs/OBSERVABILITY.md §1 metric catalog vs every
-#     MetricsRegistry::counter/gauge/histogram registration under src/,
-#     both ways;
+#     MetricsRegistry::counter/gauge/histogram registration under src/
+#     plus every metric name in the ScanStats counter table
+#     (kStatsFields in src/solap/common/stats.h), both ways;
 #   - its §2 span catalog vs every TraceSpan construction and
 #     AddTimedSpan call under src/, both ways;
 #   - EngineOptions::<field>, ServiceOptions::<field> and
@@ -18,9 +19,20 @@ DOC=docs/OBSERVABILITY.md
 
 # Registration sites look like:  metrics_.counter("queries_ok")  or, via
 # a registry pointer,  metrics->histogram("net_request_ms")
-code_names=$(grep -rhoE '(\.|->)(counter|gauge|histogram)\("[a-z0-9_]+"\)' src/ |
+literal_names=$(grep -rhoE '(\.|->)(counter|gauge|histogram)\("[a-z0-9_]+"\)' src/ |
   sed -E 's/.*\("([a-z0-9_]+)"\)/\1/' | sort -u)
-[[ -n "$code_names" ]] || { echo "doc-lint: no registrations found under src/" >&2; exit 1; }
+[[ -n "$literal_names" ]] || { echo "doc-lint: no registrations found under src/" >&2; exit 1; }
+
+# The query service registers one per-query counter for each row of the
+# ScanStats table that names one:  {"key", &ScanStats::member, "metric"},
+# (a row may wrap, so the table is read as one line; "" names none).
+STATS=src/solap/common/stats.h
+table_names=$(sed -n '/kStatsFields\[\] = {/,/^};/p' "$STATS" | tr '\n' ' ' |
+  grep -oE '\{"[a-z0-9_]+", *&ScanStats::[a-z0-9_]+, *"[a-z0-9_]*"\}' |
+  sed -E 's/.*"([a-z0-9_]*)"\}$/\1/' | grep . | sort -u || true)
+[[ -n "$table_names" ]] || { echo "doc-lint: no metric names in the $STATS counter table" >&2; exit 1; }
+
+code_names=$(printf '%s\n%s\n' "$literal_names" "$table_names" | sort -u)
 
 # The metric catalog section lists each metric as a backticked table
 # entry: | `name` | ... (other sections table span names the same way,
@@ -32,13 +44,13 @@ doc_names=$(sed -n '/^## 1\. Metric catalog/,/^## 2\./p' "$DOC" |
 fail=0
 missing_in_doc=$(comm -23 <(echo "$code_names") <(echo "$doc_names"))
 if [[ -n "$missing_in_doc" ]]; then
-  echo "doc-lint: metrics registered in src/ but undocumented in $DOC:" >&2
+  echo "doc-lint: metrics registered in src/ (or named by $STATS) but undocumented in $DOC:" >&2
   echo "$missing_in_doc" | sed 's/^/  /' >&2
   fail=1
 fi
 stale_in_doc=$(comm -13 <(echo "$code_names") <(echo "$doc_names"))
 if [[ -n "$stale_in_doc" ]]; then
-  echo "doc-lint: metrics documented in $DOC but not registered in src/:" >&2
+  echo "doc-lint: metrics documented in $DOC but neither registered in src/ nor named by $STATS:" >&2
   echo "$stale_in_doc" | sed 's/^/  /' >&2
   fail=1
 fi
