@@ -28,10 +28,9 @@
 //
 // Part 5 — ingest throughput: streams round-trip batches into a warmed
 // engine (cached formation + inverted indices, so every append pays
-// incremental maintenance) with the delta merger kicked on every ingest
-// vs deferred entirely, publishing events/sec for both arms
-// ("ingest/merge_on", "ingest/merge_off") gated by min_events_per_sec
-// floors in thresholds.json.
+// incremental maintenance: the new sids are appended to the cached lists
+// in place), publishing events/sec as "ingest/append", gated by a
+// min_events_per_sec floor in thresholds.json.
 //
 // Flags:
 //   --quick           smaller data + fewer runs (the CI smoke mode)
@@ -550,15 +549,14 @@ void RunDistributedLoopback(bool quick, std::vector<Entry>* entries) {
 }
 #endif  // SOLAP_SHARD_MAIN_PATH
 
-// Part 5 — ingest throughput. One arm per merger policy, each on a fresh
-// transit table (IngestRows mutates it): warm a pair query so the engine
-// holds a cached formation + complete inverted indices, then stream
+// Part 5 — ingest throughput. One arm, "ingest/append", each run on a
+// fresh transit table (IngestRows mutates it): warm a pair query so the
+// engine holds a cached formation + complete inverted indices, then stream
 // round-trip batches of brand-new card-ids — the extension path every
-// append-mostly workload lives on — and report events/sec. "merge_on"
-// kicks the background merger after every ingest (delta_merge_bytes = 0),
-// so its number prices continuous folding; "merge_off" defers all merging,
-// pricing pure delta growth. A closing query on each arm keeps the run
-// honest (the ingested events must be visible). Each arm runs `runs`
+// append-mostly workload lives on — and report events/sec. Every batch
+// extends the formation, appends the new sids to the cached lists in
+// place and patches the cached cuboid. A closing query keeps the run
+// honest (the ingested events must be visible). The arm runs `runs`
 // times; events/sec comes from the median time.
 void RunIngestThroughput(bool quick, size_t runs,
                          std::vector<Entry>* entries) {
@@ -580,12 +578,9 @@ void RunIngestThroughput(bool quick, size_t runs,
 
   std::printf("\n-- ingest throughput (%zu batches x %zu events) --\n",
               batches, kRowsPerBatch);
-  auto run_arm = [&](bool merge_on) -> double {
+  auto run_once = [&]() -> double {
     TransitData data = GenerateTransit(p);
-    EngineOptions opts;
-    opts.auto_delta_merge = merge_on;
-    if (merge_on) opts.delta_merge_bytes = 0;  // fold after every ingest
-    SOlapEngine engine(data.table.get(), data.hierarchies.get(), opts);
+    SOlapEngine engine(data.table.get(), data.hierarchies.get());
     auto warm = engine.Execute(spec, ExecStrategy::kInvertedIndex);
     if (!warm.ok()) {
       std::fprintf(stderr, "ingest warm-up query failed: %s\n",
@@ -595,8 +590,7 @@ void RunIngestThroughput(bool quick, size_t runs,
     const size_t cells_before = (*warm)->num_cells();
     Timer t;
     for (size_t b = 0; b < batches; ++b) {
-      const std::string card =
-          "live-" + std::to_string(merge_on) + "-" + std::to_string(b);
+      const std::string card = "live-" + std::to_string(b);
       const int64_t base = t0 + static_cast<int64_t>(b) * 180;
       Status s = engine.IngestRows({
           {Value::Timestamp(base), Value::String(card),
@@ -623,18 +617,14 @@ void RunIngestThroughput(bool quick, size_t runs,
     }
     return ms;
   };
-  for (bool merge_on : {true, false}) {
-    const Dist d = Sample(runs, [&] { return run_arm(merge_on); });
-    const double eps =
-        d.median > 0
-            ? static_cast<double>(batches * kRowsPerBatch) / (d.median / 1e3)
-            : 0;
-    std::printf("merge %-3s | %10.2f ms %12.0f events/s (median of %zu)\n",
-                merge_on ? "on" : "off", d.median, eps, d.n);
-    entries->push_back({std::string("ingest/merge_") +
-                            (merge_on ? "on" : "off"),
-                        d, 0, eps});
-  }
+  const Dist d = Sample(runs, run_once);
+  const double eps =
+      d.median > 0
+          ? static_cast<double>(batches * kRowsPerBatch) / (d.median / 1e3)
+          : 0;
+  std::printf("append    | %10.2f ms %12.0f events/s (median of %zu)\n",
+              d.median, eps, d.n);
+  entries->push_back({"ingest/append", d, 0, eps});
 }
 
 // The git commit the sources were measured at, "-dirty" when tracked files

@@ -4,8 +4,8 @@
 // One gate guards one engine's mutable state (event table, formed groups,
 // index caches, cuboid repository). Readers — query executions — hold the
 // gate SHARED for their whole execution and capture the epoch they ran
-// against; writers — appends, delta merges, retention eviction — hold it
-// EXCLUSIVE for their commit. The epoch counter follows the seqlock
+// against; writers — appends, retention eviction — hold it EXCLUSIVE for
+// their commit. The epoch counter follows the seqlock
 // convention: even while stable, odd while a writer is inside its critical
 // section, +2 per committed mutation. A reader therefore always observes an
 // even epoch, and two answers that report the same epoch saw byte-identical

@@ -64,12 +64,12 @@ struct ScanStats {
   uint64_t shard_rpc_hedges = 0;
   uint64_t partial_answers = 0;
   /// Streaming ingestion (engine/ingest.cc, docs/INGESTION.md): event rows
-  /// committed through IngestRows, background/foreground delta-merge passes
-  /// that folded at least one delta segment, cached cuboids delta-patched in
-  /// place, cached cuboids invalidated because their spec could not be
-  /// patched (regex, iceberg, or a stale formation), and cached formations
-  /// dropped because an append touched an existing cluster key.
+  /// committed through IngestRows, cached cuboids delta-patched in place,
+  /// cached cuboids invalidated because their spec could not be patched
+  /// (regex, iceberg, or a stale formation), and cached formations dropped
+  /// because an append touched an existing cluster key.
   uint64_t ingested_events = 0;
+  /// Always 0 (no delta segments); kept for perfbench/src/main.cc:58.
   uint64_t delta_merges = 0;
   uint64_t cuboid_patches = 0;
   uint64_t stale_cuboid_invalidations = 0;
@@ -89,19 +89,28 @@ struct ScanStats {
   std::string ToString() const;
 };
 
+/// Who ticks a counter: query executions, or writers (ingest, cuboid
+/// patching, invalidation).
+enum class StatsSide : uint8_t { kQuery, kWrite };
+
 /// One row per ScanStats counter, and the only list of them: merging,
 /// ToString, the shard-partial codec (cube/partial_codec.cc), the query
-/// service's per-query /metrics counters (service/query_service.cc) and
-/// the docs lint (tools/doc_lint.sh) all walk this table, so adding a
-/// counter is one member, one row and its increment site.
+/// service's per-query /metrics counters (service/query_service.cc), the
+/// II trace spans' work counters (engine/query_indices.cc), the sharded
+/// engine's write-side totals (engine/sharded_engine.cc) and the docs lint
+/// (tools/doc_lint.sh) all walk this table, so adding a counter is one
+/// member, one row and its increment site.
 struct StatsField {
-  /// Codec key and ToString label.
+  /// Codec key, ToString label and trace-span counter name.
   const char* key;
   uint64_t ScanStats::*member;
   /// /metrics counter the query service advances by each answered query's
   /// value; empty for counters not published per query (the ingest
   /// counters are engine totals, published from their own sites).
   const char* metric;
+  /// kWrite rows are counted by each executor's writers; a sharded engine
+  /// adds them from every shard and its fallback.
+  StatsSide side = StatsSide::kQuery;
 };
 
 inline constexpr StatsField kStatsFields[] = {
@@ -131,12 +140,13 @@ inline constexpr StatsField kStatsFields[] = {
     {"shard_rpc_retries", &ScanStats::shard_rpc_retries, "shard_rpc_retries"},
     {"shard_rpc_hedges", &ScanStats::shard_rpc_hedges, ""},
     {"partial_answers", &ScanStats::partial_answers, "partial_answers"},
-    {"ingested_events", &ScanStats::ingested_events, ""},
-    {"delta_merges", &ScanStats::delta_merges, ""},
-    {"cuboid_patches", &ScanStats::cuboid_patches, ""},
+    {"ingested_events", &ScanStats::ingested_events, "", StatsSide::kWrite},
+    {"delta_merges", &ScanStats::delta_merges, "", StatsSide::kWrite},
+    {"cuboid_patches", &ScanStats::cuboid_patches, "", StatsSide::kWrite},
     {"stale_cuboid_invalidations", &ScanStats::stale_cuboid_invalidations,
-     ""},
-    {"formation_invalidations", &ScanStats::formation_invalidations, ""},
+     "", StatsSide::kWrite},
+    {"formation_invalidations", &ScanStats::formation_invalidations, "",
+     StatsSide::kWrite},
     {"formations_derived", &ScanStats::formations_derived,
      "formations_derived"},
 };

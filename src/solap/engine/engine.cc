@@ -48,8 +48,6 @@ SOlapEngine::SOlapEngine(std::shared_ptr<SequenceGroupSet> raw_groups,
   repository_.set_governor(&governor_);
 }
 
-SOlapEngine::~SOlapEngine() { StopMerger(); }
-
 Result<std::shared_ptr<const SCuboid>> SOlapEngine::Execute(
     const CuboidSpec& spec) {
   return Execute(spec, options_.default_strategy);
@@ -88,7 +86,7 @@ Result<std::shared_ptr<const SCuboid>> SOlapEngine::Execute(
     const CuboidSpec& spec, ExecStrategy strategy,
     const ExecControl& control) {
   // The whole execution runs against one epoch snapshot: writers (ingest,
-  // merge, eviction) are held off until the shared guard drops.
+  // eviction) are held off until the shared guard drops.
   EpochGate::ReadLock rl(gate_);
   if (control.epoch_out != nullptr) *control.epoch_out = rl.epoch();
   ScanStats local;

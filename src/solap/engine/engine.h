@@ -5,13 +5,11 @@
 #ifndef SOLAP_ENGINE_ENGINE_H_
 #define SOLAP_ENGINE_ENGINE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -87,15 +85,6 @@ struct EngineOptions {
   /// reacts gracefully — caches skip the entry, II queries degrade to the
   /// CB path. 0 = unlimited (usage is still tracked for metrics).
   size_t memory_budget_bytes = 0;
-  /// Streaming ingestion (docs/INGESTION.md): total delta-segment bytes
-  /// across cached indices above which an ingest kicks the background merge
-  /// immediately instead of waiting for the interval. 0 = kick after every
-  /// ingest.
-  size_t delta_merge_bytes = size_t{1} << 20;
-  /// false = never start the background merger; delta segments then persist
-  /// until an explicit MergeDeltasNow() (deterministic tests, benches that
-  /// A/B the two-segment read path).
-  bool auto_delta_merge = true;
 };
 
 /// Per-execution control block: cooperative cancellation plus a sink for
@@ -132,11 +121,11 @@ struct ExecControl {
 /// synchronize internally (shared-lock reads, exclusive cache-populating
 /// writes), and each execution counts into a private ScanStats merged into
 /// the engine totals under a mutex. Mutating calls — `IngestRows`,
-/// `EvictBefore`, `AppendRawSequences`, `NotifyTableAppend`, and the
-/// background delta merge — serialize against queries through the engine's
-/// EpochGate (common/epoch.h): every execution holds the gate shared for
-/// its whole run and observes one consistent epoch, so writers no longer
-/// need the caller to quiesce (see DESIGN.md §11, docs/INGESTION.md).
+/// `EvictBefore`, `AppendRawSequences` and `NotifyTableAppend` —
+/// serialize against queries through the engine's EpochGate
+/// (common/epoch.h): every execution holds the gate shared for its whole
+/// run and observes one consistent epoch, so writers no longer need the
+/// caller to quiesce (see DESIGN.md §11, docs/INGESTION.md).
 class SOlapEngine {
  public:
   SOlapEngine(const EventTable* table, const HierarchyRegistry* hierarchies,
@@ -150,7 +139,6 @@ class SOlapEngine {
   SOlapEngine(std::shared_ptr<SequenceGroupSet> raw_groups,
               const HierarchyRegistry* hierarchies,
               EngineOptions options = {});
-  ~SOlapEngine();
 
   SOlapEngine(const SOlapEngine&) = delete;
   SOlapEngine& operator=(const SOlapEngine&) = delete;
@@ -192,9 +180,10 @@ class SOlapEngine {
 
   /// Raw-group engines: appends new sequences (base-code streams) to group
   /// `group_idx` under the epoch gate and maintains the caches through the
-  /// same routine as IngestRows: cached complete indices of the group grow
-  /// delta segments (join-derived filtered indices are dropped), patchable
-  /// cached cuboids are delta-patched, the rest are invalidated.
+  /// same routine as IngestRows: the new sids are appended to the group's
+  /// cached complete indices in place (join-derived filtered indices are
+  /// dropped), patchable cached cuboids are delta-patched, the rest are
+  /// invalidated.
   Status AppendRawSequences(size_t group_idx,
                             const std::vector<std::vector<Code>>& sequences);
 
@@ -212,11 +201,12 @@ class SOlapEngine {
   /// Appends a batch of event rows under the epoch gate, then catches the
   /// caches up (NotifyTableAppend's body): formations whose new rows only
   /// introduce NEW cluster keys are extended in place (new sequences append
-  /// at the tail, cached complete indices grow delta segments, patchable
-  /// cached cuboids are delta-patched); a batch that touches an EXISTING
-  /// cluster key conservatively invalidates that formation and its
-  /// dependents. All-or-nothing: a validation failure rejects the whole
-  /// batch and the epoch does not advance (nor for an empty batch).
+  /// at the tail, their sids are appended to cached complete indices in
+  /// place, patchable cached cuboids are delta-patched); a batch that
+  /// touches an EXISTING cluster key conservatively invalidates that
+  /// formation and its dependents. All-or-nothing: a validation failure
+  /// rejects the whole batch and the epoch does not advance (nor for an
+  /// empty batch).
   /// Requires the mutable-table constructor; InvalidArgument otherwise.
   Status IngestRows(const std::vector<std::vector<Value>>& rows,
                     TraceContext* trace = nullptr);
@@ -242,18 +232,12 @@ class SOlapEngine {
   /// even while a writer is inside its critical section.
   uint64_t epoch() const { return gate_.epoch(); }
 
-  /// Foreground delta merge: folds every cached index's delta segment into
-  /// its base containers under the exclusive gate. Logical content is
-  /// unchanged, so the epoch does not advance. The background merger calls
-  /// this on its interval; tests call it for determinism.
-  Status MergeDeltasNow(TraceContext* trace = nullptr);
-
-  /// Live delta-segment footprint across all cached indices.
+  /// Always {0, 0} (no delta segments); kept for perfbench/src/ingest.cc:269.
   struct DeltaStats {
-    size_t segments = 0;  ///< cached indices currently holding a delta
-    size_t bytes = 0;     ///< summed DeltaByteSize of those indices
+    size_t segments = 0;
+    size_t bytes = 0;
   };
-  DeltaStats DeltaSnapshot() const;
+  DeltaStats DeltaSnapshot() const { return {}; }
 
   // -- Introspection ---------------------------------------------------------
 
@@ -394,9 +378,9 @@ class SOlapEngine {
 
   /// The one cache-maintenance step after any append, run by every writer
   /// under the exclusive gate: for each touched group, drops its symbol
-  /// views and delta-extends its cached complete indices (filtered ones are
-  /// dropped); then patches or invalidates the cuboid repository and kicks
-  /// the background merger.
+  /// views and appends the new sids to its cached complete indices in place
+  /// (filtered ones are dropped); then patches or invalidates the cuboid
+  /// repository.
   void MaintainCaches(const FormationDeltas& deltas, ScanStats* stats);
 
   /// Walks the cuboid repository after an append: delta-patches entries
@@ -413,12 +397,6 @@ class SOlapEngine {
   /// sequence cache calls it for every set that leaves it.
   void DropIndexCachesFor(uint64_t set_id);
 
-  /// Lazily starts the background merger (no-op when auto_delta_merge is
-  /// off) and kicks it when the delta byte threshold is exceeded.
-  void KickMerger();
-  void MergerLoop();
-  void StopMerger();
-
   /// Folds one execution's counters into the engine totals.
   void MergeStats(const ScanStats& delta) {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -432,21 +410,13 @@ class SOlapEngine {
   const HierarchyRegistry* hierarchies_;
   EngineOptions options_;
 
-  /// Serializes mutations (ingest, merge, eviction, admin calls) against
+  /// Serializes mutations (ingest, eviction, admin calls) against
   /// query executions; the source of the query-visible epoch.
   EpochGate gate_;
 
   /// Retention window installed by EvictBefore (read under the shared
   /// gate by formation, written under the exclusive gate).
   RowFilter retention_;
-
-  // Background delta merger (started lazily by the first ingest).
-  std::thread merger_;
-  std::condition_variable merge_cv_;
-  std::mutex merge_mu_;
-  bool merger_started_ = false;
-  bool merge_stop_ = false;
-  bool merge_kick_ = false;
 
   // Declared before every cache that charges it: caches refund their
   // charges on destruction, so the governor must be torn down last.

@@ -12,9 +12,9 @@
 //     (SequenceQueryEngine::Extend, which Build runs over an empty set) —
 //     the new sequences append at the tail of their groups, so existing
 //     sids (and therefore every cached inverted list) stay valid;
-//   - cached complete indices of touched groups grow a DELTA segment
-//     (inverted_index.h) covering just the appended sids; the background
-//     merger folds deltas into base containers off the ingest path;
+//   - cached complete indices of touched groups get the appended sids
+//     appended to their lists in place (AppendToIndex; new sids exceed
+//     every cached one, so the lists stay sorted);
 //   - cached cuboids whose spec is AppendPatchable (cube/lattice.h) are
 //     delta-patched by counter-scanning only the appended sid ranges;
 //     everything else is invalidated.
@@ -24,7 +24,6 @@
 // positions — that formation (and its dependents) is conservatively
 // invalidated and rebuilt lazily on next use.
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "solap/common/failpoint.h"
@@ -34,13 +33,6 @@
 #include "solap/seq/sequence_query_engine.h"
 
 namespace solap {
-
-namespace {
-
-// The background merger wakes at least this often while deltas exist.
-constexpr std::chrono::milliseconds kMergeInterval{200};
-
-}  // namespace
 
 Status SOlapEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
                                TraceContext* trace) {
@@ -141,7 +133,7 @@ void SOlapEngine::MaintainCaches(const FormationDeltas& deltas,
     for (const GroupDelta& d : group_deltas) {
       SequenceGroup& group = set.groups()[d.group_idx];
       group.InvalidateViews();  // views cover the old extent only
-      // Delta-extend the group's cached complete indices; join-derived
+      // Extend the group's cached complete indices in place; join-derived
       // filtered indices cannot be extended safely and are dropped. A
       // failed extension or budget reject drops the rest of the group's
       // cache — the next query rebuilds it; the append itself stands.
@@ -153,8 +145,8 @@ void SOlapEngine::MaintainCaches(const FormationDeltas& deltas,
       }
       cache->Clear();
       for (auto& entry : keep) {
-        if (!AppendToIndexDelta(entry.get(), &group, set, hierarchies_,
-                                d.old_count, stats, &governor_)
+        if (!AppendToIndex(entry.get(), &group, set, hierarchies_,
+                           d.old_count, stats, &governor_)
                  .ok() ||
             !cache->Insert(std::move(entry)).ok()) {
           break;
@@ -163,7 +155,6 @@ void SOlapEngine::MaintainCaches(const FormationDeltas& deltas,
     }
   }
   PatchOrInvalidateCuboids(deltas, stats);
-  KickMerger();
 }
 
 void SOlapEngine::PatchOrInvalidateCuboids(const FormationDeltas& deltas,
@@ -271,97 +262,6 @@ Status SOlapEngine::SyncTableDictionary(int col, size_t from,
   // the new codes yet), so the epoch must not advance.
   wl.Abandon();
   return mutable_table_->SyncDictionary(col, from, values);
-}
-
-Status SOlapEngine::MergeDeltasNow(TraceContext* trace) {
-  TraceSpan span(trace, "ingest.merge");
-  SOLAP_FAILPOINT("ingest.merge");
-  // Exclusive gate: readers see either all lists two-segment or all merged
-  // — never a half-folded index. Logical content is unchanged, so the
-  // epoch must not advance.
-  EpochGate::WriteLock wl(gate_);
-  wl.Abandon();
-  size_t merged = 0;
-  {
-    std::lock_guard<std::mutex> lock(index_caches_mu_);
-    for (auto& [key, cache] : index_caches_) {
-      std::vector<std::shared_ptr<InvertedIndex>> entries = cache->entries();
-      bool any_delta = false;
-      for (const auto& entry : entries) {
-        if (entry->has_delta()) any_delta = true;
-      }
-      if (!any_delta) continue;
-      // Clear + re-insert keeps the governor charge exact (the fold can
-      // change the containers' byte size).
-      cache->Clear();
-      for (auto& entry : entries) {
-        if (entry->has_delta()) {
-          entry->MergeDeltaIntoBase();
-          ++merged;
-        }
-        if (!cache->Insert(std::move(entry)).ok()) break;
-      }
-    }
-  }
-  span.Count("segments", merged);
-  if (merged > 0) {
-    ScanStats local;
-    local.delta_merges = 1;
-    MergeStats(local);
-  }
-  return Status::OK();
-}
-
-SOlapEngine::DeltaStats SOlapEngine::DeltaSnapshot() const {
-  DeltaStats out;
-  std::lock_guard<std::mutex> lock(index_caches_mu_);
-  for (const auto& [key, cache] : index_caches_) {
-    for (const auto& entry : cache->entries()) {
-      if (entry->has_delta()) {
-        ++out.segments;
-        out.bytes += entry->DeltaByteSize();
-      }
-    }
-  }
-  return out;
-}
-
-void SOlapEngine::KickMerger() {
-  if (!options_.auto_delta_merge) return;
-  const bool over_threshold = options_.delta_merge_bytes == 0 ||
-                              DeltaSnapshot().bytes > options_.delta_merge_bytes;
-  std::lock_guard<std::mutex> lock(merge_mu_);
-  if (!merger_started_) {
-    merger_started_ = true;
-    merger_ = std::thread([this] { MergerLoop(); });
-  }
-  if (over_threshold) {
-    merge_kick_ = true;
-    merge_cv_.notify_all();
-  }
-}
-
-void SOlapEngine::MergerLoop() {
-  std::unique_lock<std::mutex> lk(merge_mu_);
-  while (!merge_stop_) {
-    merge_cv_.wait_for(lk, kMergeInterval,
-                       [&] { return merge_stop_ || merge_kick_; });
-    if (merge_stop_) break;
-    merge_kick_ = false;
-    lk.unlock();
-    // Best-effort: a failpoint or injected fault just skips this cycle.
-    (void)MergeDeltasNow();
-    lk.lock();
-  }
-}
-
-void SOlapEngine::StopMerger() {
-  {
-    std::lock_guard<std::mutex> lock(merge_mu_);
-    merge_stop_ = true;
-  }
-  merge_cv_.notify_all();
-  if (merger_.joinable()) merger_.join();
 }
 
 }  // namespace solap

@@ -59,24 +59,11 @@ namespace {
 void AttachStatsDelta(TraceSpan& span, const ScanStats& before,
                       const ScanStats& after) {
   if (!span.active()) return;
-  auto emit = [&](const char* key, uint64_t b, uint64_t a) {
-    if (a > b) span.Count(key, a - b);
-  };
-  emit("sequences_scanned", before.sequences_scanned, after.sequences_scanned);
-  emit("lists_built", before.lists_built, after.lists_built);
-  emit("index_bytes", before.index_bytes_built, after.index_bytes_built);
-  emit("intersections", before.list_intersections, after.list_intersections);
-  emit("linear", before.intersections_linear, after.intersections_linear);
-  emit("galloping", before.intersections_galloping,
-       after.intersections_galloping);
-  emit("bitmap", before.intersections_bitmap, after.intersections_bitmap);
-  emit("container_array", before.container_array_ops,
-       after.container_array_ops);
-  emit("container_bitmap", before.container_bitmap_ops,
-       after.container_bitmap_ops);
-  emit("container_run", before.container_run_ops, after.container_run_ops);
-  emit("container_gallop", before.container_gallop_ops,
-       after.container_gallop_ops);
+  for (const StatsField& f : kStatsFields) {
+    if (after.*f.member > before.*f.member) {
+      span.Count(f.key, after.*f.member - before.*f.member);
+    }
+  }
   // The dominant kernel of this step, named explicitly so EXPLAIN ANALYZE
   // readers need not compare the mix counters.
   const uint64_t lin = after.intersections_linear - before.intersections_linear;
@@ -334,14 +321,11 @@ Result<std::shared_ptr<InvertedIndex>> SOlapEngine::ObtainIndex(
     size_t usable_entries = 0;
     {
       const size_t base_off = grow_right ? 0 : m - k;
-      current->ForEachLogicalList(
-          [&](const PatternKey& key2, const SidList* l2b, const SidList* l2d) {
-            if (!WindowConsistent(tmpl, base_off, key2, bp.fixed_codes())) {
-              return;
-            }
-            if (l2b != nullptr) usable_entries += l2b->size();
-            if (l2d != nullptr) usable_entries += l2d->size();
-          });
+      for (const auto& [key, list] : current->lists()) {
+        if (WindowConsistent(tmpl, base_off, key, bp.fixed_codes())) {
+          usable_entries += list.size();
+        }
+      }
     }
     const bool selective = usable_entries < group.num_sequences();
     if (selective && !l2_cached) {
@@ -392,51 +376,32 @@ Status SOlapEngine::CountFromIndex(QueryContext& ctx, SequenceGroup& group,
   // a list contains the pattern exactly "at least once".
   const bool fast = !bp.has_predicate() && ctx.spec->agg == AggKind::kCount &&
                     restriction != CellRestriction::kAllMatchedGo;
-  Status status = Status::OK();
-  index.ForEachLogicalList([&](const PatternKey& key, const SidList* blist,
-                               const SidList* dlist) {
-    if (!status.ok()) return;
-    status = CheckStop(ctx.stop, "index counting");
-    if (!status.ok()) return;
-    if (!WindowConsistent(tmpl, 0, key, bp.fixed_codes())) return;
+  // Left-maximal restrictions assign the first occurrence only; all
+  // matched-go assigns every occurrence.
+  const bool every = restriction == CellRestriction::kAllMatchedGo;
+  for (const auto& [key, list] : index.lists()) {
+    SOLAP_RETURN_NOT_OK(CheckStop(ctx.stop, "index counting"));
+    if (!WindowConsistent(tmpl, 0, key, bp.fixed_codes())) continue;
     PatternKey dim_codes = tmpl.DimCodesOf(key);
     if (fast) {
       CellKey cell = group.key();
       cell.insert(cell.end(), dim_codes.begin(), dim_codes.end());
       CellValue v;
-      v.count = static_cast<int64_t>((blist != nullptr ? blist->size() : 0) +
-                                     (dlist != nullptr ? dlist->size() : 0));
+      v.count = static_cast<int64_t>(list.size());
       ctx.cuboid->MergeCell(cell, v);
-      return;
+      continue;
     }
-    auto count_sid = [&](Sid s) {
+    list.ForEach([&](Sid s) {
       ++ctx.stats->sequences_scanned;
-      switch (restriction) {
-        case CellRestriction::kLeftMaxMatchedGo:
-        case CellRestriction::kLeftMaxDataGo:
-          bp.ForEachConcreteOccurrence(s, key, /*apply_predicate=*/true,
-                                       [&](const uint32_t* idx) {
-                                         AddAssignment(ctx, group, bp,
-                                                       dim_codes, s, idx,
-                                                       ctx.cuboid);
-                                         return false;  // first only
-                                       });
-          break;
-        case CellRestriction::kAllMatchedGo:
-          bp.ForEachConcreteOccurrence(s, key, /*apply_predicate=*/true,
-                                       [&](const uint32_t* idx) {
-                                         AddAssignment(ctx, group, bp,
-                                                       dim_codes, s, idx,
-                                                       ctx.cuboid);
-                                         return true;  // every occurrence
-                                       });
-          break;
-      }
-    };
-    if (blist != nullptr) blist->ForEach(count_sid);
-    if (dlist != nullptr) dlist->ForEach(count_sid);
-  });
-  return status;
+      bp.ForEachConcreteOccurrence(s, key, /*apply_predicate=*/true,
+                                   [&](const uint32_t* idx) {
+                                     AddAssignment(ctx, group, bp, dim_codes,
+                                                   s, idx, ctx.cuboid);
+                                     return every;
+                                   });
+    });
+  }
+  return Status::OK();
 }
 
 }  // namespace solap

@@ -16,11 +16,9 @@ namespace {
 
 // The counters only writers tick: each executor counts its own writes.
 void AddWriteCounters(const ScanStats& from, ScanStats* to) {
-  to->ingested_events += from.ingested_events;
-  to->delta_merges += from.delta_merges;
-  to->cuboid_patches += from.cuboid_patches;
-  to->stale_cuboid_invalidations += from.stale_cuboid_invalidations;
-  to->formation_invalidations += from.formation_invalidations;
+  for (const StatsField& f : kStatsFields) {
+    if (f.side == StatsSide::kWrite) to->*f.member += from.*f.member;
+  }
 }
 
 }  // namespace
@@ -545,23 +543,6 @@ Status ShardedEngine::EvictBefore(const std::string& order_attr,
 
 uint64_t ShardedEngine::epoch() const {
   return shards_.size() == 1 ? shards_[0]->epoch() : gate_.epoch();
-}
-
-Status ShardedEngine::MergeDeltasNow(TraceContext* trace) {
-  for (SOlapEngine* shard : shards_) {
-    SOLAP_RETURN_NOT_OK(shard->MergeDeltasNow(trace));
-  }
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  return fallback_ ? fallback_->MergeDeltasNow(trace) : Status::OK();
-}
-
-SOlapEngine::DeltaStats ShardedEngine::DeltaSnapshot() const {
-  SOlapEngine::DeltaStats out;
-  out.segments = SumOverExecutors(
-      [](const SOlapEngine& e) { return e.DeltaSnapshot().segments; });
-  out.bytes = SumOverExecutors(
-      [](const SOlapEngine& e) { return e.DeltaSnapshot().bytes; });
-  return out;
 }
 
 ScanStats ShardedEngine::StatsSnapshot() const {

@@ -122,12 +122,6 @@ class ShardedEngine {
   /// executor's epoch so callers see one coherent counter either way.
   uint64_t epoch() const;
 
-  /// Foreground delta merge across every shard (+ fallback).
-  Status MergeDeltasNow(TraceContext* trace = nullptr);
-
-  /// Delta-segment footprint summed over all shards (+ fallback).
-  SOlapEngine::DeltaStats DeltaSnapshot() const;
-
   // -- Introspection ---------------------------------------------------------
 
   /// Engine totals. The one-shard shape reports its executor's counters;

@@ -48,13 +48,12 @@ class WindowDeduper {
   bool use_big_ = false;
 };
 
-// Shared scan behind AppendToIndex (to_delta=false, writes base lists) and
-// AppendToIndexDelta (to_delta=true, writes the delta segment).
-Status AppendToIndexImpl(InvertedIndex* index, SequenceGroup* group,
-                         const SequenceGroupSet& set,
-                         const HierarchyRegistry* hierarchies, Sid from_sid,
-                         ScanStats* stats, MemoryGovernor* governor,
-                         bool to_delta) {
+}  // namespace
+
+Status AppendToIndex(InvertedIndex* index, SequenceGroup* group,
+                     const SequenceGroupSet& set,
+                     const HierarchyRegistry* hierarchies, Sid from_sid,
+                     ScanStats* stats, MemoryGovernor* governor) {
   SOLAP_FAILPOINT("index.build");
   const IndexShape& shape = index->shape();
   const size_t m = shape.size();
@@ -101,23 +100,16 @@ Status AppendToIndexImpl(InvertedIndex* index, SequenceGroup* group,
     const uint32_t len = offsets[s + 1] - base;
     if (len < m) continue;
     seen.Reset();
-    auto add = [&](const PatternKey& k, Sid sid) {
-      if (to_delta) {
-        index->AddDeltaSid(k, sid);
-      } else {
-        index->AddSid(k, sid);
-      }
-    };
     if (shape.kind == PatternKind::kSubstring) {
       for (uint32_t p = 0; p + m <= len; ++p) {
         for (size_t i = 0; i < m; ++i) key[i] = pos_view[i][base + p + i];
-        if (seen.Insert(key)) add(key, s);
+        if (seen.Insert(key)) index->AddSid(key, s);
       }
     } else {
       // Depth-first enumeration of unique length-m subsequences.
       auto rec = [&](auto&& self, size_t pos, uint32_t start) -> void {
         if (pos == m) {
-          if (seen.Insert(key)) add(key, s);
+          if (seen.Insert(key)) index->AddSid(key, s);
           return;
         }
         for (uint32_t i = start; i + (m - pos) <= len; ++i) {
@@ -136,24 +128,6 @@ Status AppendToIndexImpl(InvertedIndex* index, SequenceGroup* group,
     stats->sequences_scanned += num_seq - from_sid;
   }
   return Status::OK();
-}
-
-}  // namespace
-
-Status AppendToIndex(InvertedIndex* index, SequenceGroup* group,
-                     const SequenceGroupSet& set,
-                     const HierarchyRegistry* hierarchies, Sid from_sid,
-                     ScanStats* stats, MemoryGovernor* governor) {
-  return AppendToIndexImpl(index, group, set, hierarchies, from_sid, stats,
-                           governor, /*to_delta=*/false);
-}
-
-Status AppendToIndexDelta(InvertedIndex* index, SequenceGroup* group,
-                          const SequenceGroupSet& set,
-                          const HierarchyRegistry* hierarchies, Sid from_sid,
-                          ScanStats* stats, MemoryGovernor* governor) {
-  return AppendToIndexImpl(index, group, set, hierarchies, from_sid, stats,
-                           governor, /*to_delta=*/true);
 }
 
 Result<std::shared_ptr<InvertedIndex>> BuildIndex(

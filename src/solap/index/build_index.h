@@ -29,24 +29,14 @@ Result<std::shared_ptr<InvertedIndex>> BuildIndex(
 
 /// Extends `index` with the contents of sequences [from_sid, end of group) —
 /// the incremental-update path (paper §6): when a new batch of sequences is
-/// appended to a group, only the delta is scanned. Sids grow monotonically,
-/// so each list stays sorted.
+/// appended to a group, only the new sequences are scanned and their sids
+/// are appended to the lists in place. Sids grow monotonically (the
+/// watermark invariant, inverted_index.h), so each list stays sorted. This
+/// is also the streaming-ingestion write path for cached indices.
 Status AppendToIndex(InvertedIndex* index, SequenceGroup* group,
                      const SequenceGroupSet& set,
                      const HierarchyRegistry* hierarchies, Sid from_sid,
                      ScanStats* stats, MemoryGovernor* governor = nullptr);
-
-/// Same scan as AppendToIndex, but new sids land in the index's DELTA
-/// segment (inverted_index.h) instead of the base containers — the
-/// streaming-ingestion write path. Readers holding an epoch snapshot keep
-/// seeing base lists untouched; the new sids become visible through the
-/// two-segment read path once the writer commits, and the background merge
-/// later folds them into the base via MergeDeltaIntoBase.
-Status AppendToIndexDelta(InvertedIndex* index, SequenceGroup* group,
-                          const SequenceGroupSet& set,
-                          const HierarchyRegistry* hierarchies, Sid from_sid,
-                          ScanStats* stats,
-                          MemoryGovernor* governor = nullptr);
 
 }  // namespace solap
 

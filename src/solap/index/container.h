@@ -11,11 +11,12 @@
 // container pair (SSE4.2 STTNI for balanced array×array, galloping for
 // skewed ones, word-parallel AND for bitmap×bitmap, membership probes for
 // mixed pairs, interval walks when a run participates). This dispatch
-// table is the only intersection-kernel family: index joins, the
-// two-segment delta read path and the benches all go through it. Roll-up
-// union is a k-way merge into a per-chunk bitmap accumulator. Both produce
-// exactly the sid sets of the scalar merge path, which the equivalence
-// tests pin.
+// table is the only intersection-kernel family: index joins and the
+// benches go through it. Roll-up union is a k-way merge into a per-chunk
+// bitmap accumulator. Both produce exactly the sid sets of the scalar
+// merge path, which the equivalence tests pin. Lists only grow at the
+// tail: streaming ingestion appends sids larger than every member in
+// place (SidList::Append into the last container or a new one).
 #ifndef SOLAP_INDEX_CONTAINER_H_
 #define SOLAP_INDEX_CONTAINER_H_
 
@@ -218,25 +219,10 @@ void IntersectSidLists(const SidList& a, const SidList& b,
                        std::vector<Sid>& out,
                        ContainerOpCounts* counts = nullptr);
 
-/// Scalar two-cursor merge: the small delta cross terms of
-/// IntersectSegmented run on it, and the equivalence tests and
-/// bench_ii_kernels measure the container kernels against it.
+/// Scalar two-cursor merge: the reference the equivalence tests and
+/// bench_ii_kernels measure the container kernels against.
 void IntersectSidListsScalar(const SidList& a, const SidList& b,
                              std::vector<Sid>& out);
-
-/// out = (a_base ∪ a_delta) ∩ (b_base ∪ b_delta), the streaming-ingestion
-/// read path (docs/INGESTION.md): an index whose delta segment has not yet
-/// been background-merged presents each logical list as base + delta. Any
-/// of the four pointers may be null (treated as the empty list). Within one
-/// index base and delta are disjoint (the watermark invariant), so the
-/// logical sets are plain unions — but the four pairwise intersections are
-/// ALL computed: across two indices of different vintages a sid can sit in
-/// one index's base and the other's delta. Base×base runs the container
-/// kernels (`counts` tallies them, as in IntersectSidLists); the delta
-/// cross terms are small and use the scalar merge.
-void IntersectSegmented(const SidList* a_base, const SidList* a_delta,
-                        const SidList* b_base, const SidList* b_delta,
-                        std::vector<Sid>& out, ContainerOpCounts* counts);
 
 /// K-way union of `inputs` (the P-ROLL-UP merge core): per distinct
 /// container key, single-source containers are copied and multi-source

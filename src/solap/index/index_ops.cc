@@ -139,36 +139,29 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
   // Bucket the L2 lists by the code on the shared position. Dense chunks
   // of a SidList are bitmap containers already — the one-time encoding the
   // flat representation needed per join is now part of the index itself.
-  // An input carrying an unmerged delta segment (streaming ingestion)
-  // contributes its LOGICAL lists: base and delta pointers travel together
-  // and the intersection runs the two-segment path; without deltas the
-  // delta pointers are null and the hot path is the single-segment one.
   struct L2Entry {
     Code grown;
-    const SidList* list;   // may be null (delta-only key)
-    const SidList* delta;  // null when the key has no unmerged delta
+    const SidList* list;
   };
   std::unordered_map<Code, std::vector<L2Entry>> by_shared;
-  l2.ForEachLogicalList([&](const PatternKey& key2, const SidList* list2,
-                            const SidList* dlist2) {
+  for (const auto& [key2, list2] : l2.lists()) {
     Code shared = grow_right ? key2[0] : key2[1];
     Code grown = grow_right ? key2[1] : key2[0];
-    by_shared[shared].push_back(L2Entry{grown, list2, dlist2});
-  });
+    by_shared[shared].push_back(L2Entry{grown, &list2});
+  }
 
   auto out = std::make_shared<InvertedIndex>(out_shape, /*complete=*/false);
   ScanStats local;
   PatternKey out_key(out_len);
   std::vector<Sid> candidates, verified;  // reused across pairs
   // Intersect+verify every (base list, L2 entry) pair, in base-list order.
-  base.ForEachLogicalList([&](const PatternKey& key, const SidList* blist,
-                              const SidList* bdelta) {
+  for (const auto& [key, blist] : base.lists()) {
     if (!WindowConsistent(tmpl, base_win_offset, key, bp.fixed_codes())) {
-      return;
+      continue;
     }
     Code shared = grow_right ? key.back() : key.front();
     auto it = by_shared.find(shared);
-    if (it == by_shared.end()) return;
+    if (it == by_shared.end()) continue;
     for (const L2Entry& l2e : it->second) {
       if (grow_right) {
         std::copy(key.begin(), key.end(), out_key.begin());
@@ -185,15 +178,7 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
       // linear/galloping/bitmap counters so EXPLAIN ANALYZE still reports
       // the per-join kernel mix.
       ContainerOpCounts ops;
-      if (bdelta != nullptr || l2e.delta != nullptr || blist == nullptr ||
-          l2e.list == nullptr) {
-        // Two-segment read path: either side has an unmerged delta, so all
-        // four base/delta cross terms participate.
-        IntersectSegmented(blist, bdelta, l2e.list, l2e.delta, candidates,
-                           &ops);
-      } else {
-        IntersectSidLists(*blist, *l2e.list, candidates, &ops);
-      }
+      IntersectSidLists(blist, *l2e.list, candidates, &ops);
       if (ops.bitmap_ops > 0) {
         ++local.intersections_bitmap;
       } else if (ops.gallop_ops > 0) {
@@ -217,7 +202,7 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
         out->lists().emplace(out_key, SidList::FromSorted(verified));
       }
     }
-  });
+  }
 
   out->set_constraint_sig(
       WindowConstraintSig(tmpl, offset, out_len, bp.fixed_codes()));
@@ -270,16 +255,13 @@ Result<std::shared_ptr<InvertedIndex>> RollUpMerge(
   // Group the fine lists by coarse target, then union each target's
   // sources with one k-way container merge (UnionManySidLists) — no flat
   // append + re-sort pass. Targets are keyed in the fine map's iteration
-  // order (base lists, then delta lists).
-  // A delta segment folds in naturally here: its lists enter as additional
-  // union sources (the k-way merge dedups), so a not-yet-compacted index
-  // rolls up to the same coarse lists a merged one would.
+  // order.
   out->lists().reserve(fine.num_lists() / 4 + 1);
   std::unordered_map<PatternKey, size_t, CodeVecHash> slot_of;
   std::vector<SidList*> targets;
   std::vector<std::vector<const SidList*>> sources;
   PatternKey ck;
-  auto add_source = [&](const PatternKey& key, const SidList& list) {
+  for (const auto& [key, list] : fine.lists()) {
     // Map every fine key to its coarse key and apply the slice filter.
     ck = key;
     for (size_t p = 0; p < key.size(); ++p) {
@@ -288,7 +270,7 @@ Result<std::shared_ptr<InvertedIndex>> RollUpMerge(
     }
     if (tmpl != nullptr && fixed_codes != nullptr &&
         !WindowConsistent(*tmpl, 0, ck, *fixed_codes)) {
-      return;  // outside the sliced subcube
+      continue;  // outside the sliced subcube
     }
     // unordered_map nodes are stable, so the target pointers survive later
     // insertions.
@@ -298,9 +280,7 @@ Result<std::shared_ptr<InvertedIndex>> RollUpMerge(
       sources.emplace_back();
     }
     sources[it->second].push_back(&list);
-  };
-  for (const auto& [key, list] : fine.lists()) add_source(key, list);
-  for (const auto& [key, list] : fine.delta()) add_source(key, list);
+  }
 
   // k-way container union per target.
   ContainerOpCounts union_counts;
@@ -342,17 +322,15 @@ Result<std::shared_ptr<InvertedIndex>> DrillDownRefine(
   // exactly once — a sequence typically sits in several coarse lists.
   std::unordered_set<PatternKey, CodeVecHash> keep;
   std::vector<bool> marked(bp_fine.group().num_sequences(), false);
-  coarse.ForEachLogicalList([&](const PatternKey& coarse_key,
-                                const SidList* blist, const SidList* dlist) {
+  for (const auto& [coarse_key, list] : coarse.lists()) {
     if (coarse_fixed_codes != nullptr &&
         !WindowConsistent(bp_fine.tmpl(), 0, coarse_key,
                           *coarse_fixed_codes)) {
-      return;  // the slice excludes this coarse cell entirely
+      continue;  // the slice excludes this coarse cell entirely
     }
     keep.insert(coarse_key);
-    if (blist != nullptr) blist->ForEach([&](Sid s) { marked[s] = true; });
-    if (dlist != nullptr) dlist->ForEach([&](Sid s) { marked[s] = true; });
-  });
+    list.ForEach([&](Sid s) { marked[s] = true; });
+  }
   std::unordered_set<PatternKey, CodeVecHash> seen;  // per-sid dedup
   PatternKey fine_key(m), coarse_key(m);
   for (Sid s = 0; s < marked.size(); ++s) {
@@ -398,12 +376,8 @@ Result<std::shared_ptr<InvertedIndex>> ExtendByScan(
   const bool substring = tmpl.kind() == PatternKind::kSubstring;
   PatternKey out_key(out_len);
   std::unordered_set<PatternKey, CodeVecHash> seen;  // per-sid dedup
-  // Base then delta per key: the watermark invariant (delta sids exceed
-  // base sids of the same index) keeps the per-out-key AddSid order
-  // ascending, which the SidList append builder requires.
-  base.ForEachLogicalList([&](const PatternKey& key, const SidList* blist,
-                              const SidList* dlist) {
-    if (!WindowConsistent(tmpl, base_off, key, bp.fixed_codes())) return;
+  for (const auto& [key, list] : base.lists()) {
+    if (!WindowConsistent(tmpl, base_off, key, bp.fixed_codes())) continue;
     auto scan_sid = [&](Sid s) {
       if (stats != nullptr) ++stats->sequences_scanned;
       seen.clear();
@@ -447,9 +421,8 @@ Result<std::shared_ptr<InvertedIndex>> ExtendByScan(
         rec(rec, 0, 0);
       }
     };
-    if (blist != nullptr) blist->ForEach(scan_sid);
-    if (dlist != nullptr) dlist->ForEach(scan_sid);
-  });
+    list.ForEach(scan_sid);
+  }
   if (stats != nullptr) {
     stats->lists_built += out->num_lists();
     stats->index_bytes_built += out->ByteSize();

@@ -65,6 +65,13 @@ class InvertedIndex {
   /// Appends `sid` to the list of `key`, deduplicating consecutive appends
   /// of the same sid (callers iterate sids in ascending order, so lists
   /// stay sorted).
+  ///
+  /// Streaming ingestion (docs/INGESTION.md) grows a cached index through
+  /// this same call. Invariant (the watermark): every sid appended after
+  /// the index was built is strictly greater than every sid already in it,
+  /// because sids only grow and an append only scans newly assigned ones.
+  /// So an in-place append lands at the tail of each list, in its last
+  /// container or a new one, and the lists stay sorted.
   void AddSid(const PatternKey& key, Sid sid) { lists_[key].Append(sid); }
 
   const SidList* Find(const PatternKey& key) const {
@@ -72,59 +79,10 @@ class InvertedIndex {
     return it == lists_.end() ? nullptr : &it->second;
   }
 
-  // -- Delta segment (streaming ingestion, docs/INGESTION.md) ---------------
-  //
-  // Sids appended after the base was built land in a secondary ListMap, the
-  // index's *delta segment*, until the background merge folds them into the
-  // base containers. Invariant (the per-index watermark): every delta sid is
-  // strictly greater than every base sid of the SAME index, because sids
-  // only grow and the delta only ever receives newly assigned ones. The
-  // two-segment read path (index_ops.cc, container.cc IntersectSegmented)
-  // treats base ⋈ delta as one logical list. Note the watermark says
-  // nothing about sids across two DIFFERENT indices — a freshly built
-  // index holds new sids in its base while an older one still has them in
-  // its delta, so segmented intersection computes all four pairwise terms.
-
-  /// Appends `sid` to the DELTA list of `key`; same ascending-order,
-  /// consecutive-dedup contract as AddSid.
-  void AddDeltaSid(const PatternKey& key, Sid sid) { delta_[key].Append(sid); }
-
-  const SidList* FindDelta(const PatternKey& key) const {
-    auto it = delta_.find(key);
-    return it == delta_.end() ? nullptr : &it->second;
-  }
-
-  bool has_delta() const { return !delta_.empty(); }
-  const ListMap& delta() const { return delta_; }
-  /// Bytes held by the delta segment alone (keys + containers).
-  size_t DeltaByteSize() const;
-
-  /// Folds the delta segment into the base containers and clears it. Cheap
-  /// by the watermark invariant: per key, delta sids append after the
-  /// base's maximum, then the touched lists renormalize. Callers hold the
-  /// engine's epoch gate exclusively — logical content is unchanged, so
-  /// the epoch does not advance.
-  void MergeDeltaIntoBase();
-
-  /// Visits the union of base and delta keys, passing whichever segment
-  /// lists exist (either pointer may be null, never both). The read-path
-  /// primitive for iterating an index's LOGICAL lists.
-  template <typename Fn>  // Fn(const PatternKey&, const SidList* base,
-                          //    const SidList* delta)
-  void ForEachLogicalList(Fn&& fn) const {
-    for (const auto& [key, list] : lists_) {
-      fn(key, &list, FindDelta(key));
-    }
-    for (const auto& [key, list] : delta_) {
-      if (lists_.find(key) == lists_.end()) fn(key, nullptr, &list);
-    }
-  }
-
   size_t num_lists() const { return lists_.size(); }
   size_t total_entries() const;
-  /// Storage footprint: keys plus the bytes the containers actually hold,
-  /// base and delta segments both — this is what index caching charges
-  /// against the MemoryGovernor.
+  /// Storage footprint: keys plus the bytes the containers actually hold —
+  /// this is what index caching charges against the MemoryGovernor.
   size_t ByteSize() const;
   /// Rewrites every list's containers to their smallest representation
   /// (builders call this once after the append phase).
@@ -135,7 +93,6 @@ class InvertedIndex {
   bool complete_;
   std::string constraint_sig_;
   ListMap lists_;
-  ListMap delta_;
 };
 
 }  // namespace solap

@@ -50,7 +50,6 @@ QueryService::QueryService(ShardedEngine* engine, ServiceOptions options)
       cancelled_(metrics_.counter("queries_cancelled")),
       stat_counters_(PerQueryCounters(metrics_)),
       ingest_events_(metrics_.counter("ingest_events")),
-      delta_merges_(metrics_.counter("delta_merges")),
       stale_cuboid_invalidations_(
           metrics_.counter("stale_cuboid_invalidations")),
       mem_used_(metrics_.gauge("mem_used_bytes")),
@@ -58,7 +57,6 @@ QueryService::QueryService(ShardedEngine* engine, ServiceOptions options)
       mem_rejects_(metrics_.gauge("mem_budget_rejects")),
       io_retries_(metrics_.gauge("io_retries")),
       epoch_gauge_(metrics_.gauge("epoch")),
-      delta_segments_(metrics_.gauge("delta_segments")),
       queue_depth_(metrics_.histogram("queue_depth")),
       wait_ms_(metrics_.histogram("queue_wait_ms")),
       exec_cb_(metrics_.histogram("exec_ms_cb")),
@@ -303,13 +301,11 @@ void QueryService::RefreshResourceMetrics() {
   mem_rejects_->Set(engine_->MemRejects());
   io_retries_->Set(SnapshotIoRetries());
   epoch_gauge_->Set(engine_->epoch());
-  delta_segments_->Set(engine_->DeltaSnapshot().segments);
-  // The background merger and the ingest path advance engine totals off
-  // any service thread; publish the monotone diff since the last refresh.
+  // Writers advance engine totals on their own threads (direct engine
+  // ingest, not only Ingest below); publish the monotone diff since the
+  // last refresh.
   const ScanStats totals = engine_->StatsSnapshot();
   std::lock_guard<std::mutex> lock(ingest_metrics_mu_);
-  delta_merges_->Inc(totals.delta_merges - last_delta_merges_);
-  last_delta_merges_ = totals.delta_merges;
   stale_cuboid_invalidations_->Inc(totals.stale_cuboid_invalidations -
                                    last_stale_invalidations_);
   last_stale_invalidations_ = totals.stale_cuboid_invalidations;
@@ -340,7 +336,6 @@ Status QueryService::EvictBefore(const std::string& order_attr,
   return engine_->EvictBefore(order_attr, cutoff);
 }
 
-Status QueryService::MergeDeltasNow() { return engine_->MergeDeltasNow(); }
 
 void QueryService::BeginDrain() {
   draining_.store(true, std::memory_order_release);

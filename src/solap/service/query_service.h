@@ -132,8 +132,8 @@ class QueryService {
   /// Time-window retention fan-in; see SOlapEngine::EvictBefore.
   Status EvictBefore(const std::string& order_attr, int64_t cutoff);
 
-  /// Foreground delta merge across every shard (admin, tests).
-  Status MergeDeltasNow();
+  /// Always OK (no delta segments); kept for perfbench/src/ingest.cc:282.
+  Status MergeDeltasNow() { return Status::OK(); }
 
   /// Engine epoch — what /metrics reports as the `epoch` gauge.
   uint64_t epoch() const { return engine_->epoch(); }
@@ -243,20 +243,17 @@ class QueryService {
   // Per-query ScanStats counters, indexed like kStatsFields.
   std::array<Counter*, std::size(kStatsFields)> stat_counters_;
   Counter* ingest_events_;
-  Counter* delta_merges_;
   Counter* stale_cuboid_invalidations_;
   Gauge* mem_used_;
   Gauge* mem_budget_;
   Gauge* mem_rejects_;
   Gauge* io_retries_;
   Gauge* epoch_gauge_;
-  Gauge* delta_segments_;
 
-  // Engine-total watermarks behind the monotone ingest counters: the
-  // background merger and the ingest path both advance engine totals, and
-  // RefreshResourceMetrics publishes the diff since the last refresh.
+  // Engine-total watermark behind the monotone invalidation counter: the
+  // ingest path advances engine totals, and RefreshResourceMetrics
+  // publishes the diff since the last refresh.
   std::mutex ingest_metrics_mu_;
-  uint64_t last_delta_merges_ = 0;
   uint64_t last_stale_invalidations_ = 0;
   Histogram* queue_depth_;
   Histogram* wait_ms_;

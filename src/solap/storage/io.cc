@@ -383,13 +383,6 @@ uint64_t SnapshotIoRetries() {
 }
 
 Status SaveIndex(const InvertedIndex& index, const std::string& path) {
-  if (index.has_delta()) {
-    // Snapshots persist the LOGICAL index. Fold a copy's delta so the
-    // on-disk format stays single-segment; the live index is untouched.
-    InvertedIndex merged = index;
-    merged.MergeDeltaIntoBase();
-    return SaveIndex(merged, path);
-  }
   Writer w;
   w.Raw(kMagic, 4);
   w.U32(kVersion);

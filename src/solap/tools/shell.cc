@@ -56,7 +56,6 @@ constexpr const char* kHelp = R"(commands:
                                      epoch-gated write path (values by
                                      schema order; ';' separates rows)
   evict <attr> <cutoff>              retention: drop rows below cutoff
-  merge                              fold index delta segments now
   stats                              engine counters
   help | quit)";
 
@@ -144,12 +143,6 @@ Status ShellSession::Dispatch(const std::string& raw) {
   if (c == "serve") return CmdServe(args);
   if (c == "ingest") return CmdIngest(args);
   if (c == "evict") return CmdEvict(args);
-  if (c == "merge") {
-    SOLAP_RETURN_NOT_OK(RequireEngine());
-    SOLAP_RETURN_NOT_OK(engine_->MergeDeltasNow());
-    out_ << "delta segments merged (epoch " << engine_->epoch() << ")\n";
-    return Status::OK();
-  }
   if (c == "metrics") {
     if (service_ == nullptr) {
       return Status::InvalidArgument(

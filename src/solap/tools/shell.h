@@ -38,7 +38,7 @@ namespace solap {
 ///   parents | children                      S-cube lattice neighbors
 ///   shards <n> [column]                     scatter-gather shard count
 ///   ingest <v1,v2,...>[;<row>...]           append rows (epoch-gated)
-///   evict <attr> <cutoff> | merge           retention / delta merge
+///   evict <attr> <cutoff>                   retention
 ///   serve start|stop|status                 concurrent query service
 ///     serve start [t [d]] --port <p>        + HTTP listener (0=ephemeral)
 ///   metrics                                 service counters/latencies

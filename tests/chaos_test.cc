@@ -398,26 +398,24 @@ TEST(ChaosTest, SameSeedReproducesTheSameFireCounts) {
 // ------------------------------------------- concurrent-writer chaos
 
 // Streaming ingestion under fault load (docs/INGESTION.md): two writer
-// threads appending fixed-size batches race two reader threads and a
-// merge kicker while ingest.append, ingest.merge, the formation-extension
-// scan and the memory governor all inject failures. Invariants:
+// threads appending fixed-size batches race two reader threads while
+// ingest.append, the formation-extension scan and the memory governor all
+// inject failures. Invariants:
 //   - a failed append rejects its batch atomically (ingest.append fires
 //     before any row lands; the epoch only advances on commit), so a
 //     reader observing epoch e saw exactly the first B + R * (e / 2) rows
 //     of the final table;
 //   - every answer is bit-identical to a fresh engine rebuilt over that
 //     row prefix with no faults armed;
-//   - failed merges and governor rejects cost only cached state, never
-//     correctness.
+//   - governor rejects and failed extension scans cost only cached state,
+//     never correctness.
 // It runs over a monolithic engine and over a 2-shard ShardedEngine, whose
 // facade must reject a batch before committing it or report it committed.
 template <typename Engine>
 void WritersUnderFaultLoadStayEpochConsistent(size_t shards) {
   auto table = testing::Fig8Table();
   auto reg = testing::Fig8Hierarchies();
-  EngineOptions opts;
-  opts.auto_delta_merge = false;  // the kicker thread drives merges
-  EngineOptions engine_opts = opts;
+  EngineOptions engine_opts;
   engine_opts.shards = shards;
   engine_opts.shard_by = "card-id";
   Engine engine(table.get(), reg.get(), engine_opts);
@@ -441,7 +439,6 @@ void WritersUnderFaultLoadStayEpochConsistent(size_t shards) {
     FailpointRegistry::Global().Arm(name, c);
   };
   arm("ingest.append", StatusCode::kUnavailable, 0.15);
-  arm("ingest.merge", StatusCode::kInternal, 0.25);
   arm("index.extend_scan", StatusCode::kInternal, 0.10);
   arm("mem.charge", StatusCode::kResourceExhausted, 0.02);
 
@@ -481,12 +478,6 @@ void WritersUnderFaultLoadStayEpochConsistent(size_t shards) {
       } while (true);
     });
   }
-  threads.emplace_back([&] {  // merge kicker; injected failures tolerated
-    while (!done.load()) {
-      (void)engine.MergeDeltasNow();
-      std::this_thread::yield();
-    }
-  });
   std::vector<std::thread> writers;
   for (size_t w = 0; w < kWriterThreads; ++w) {
     writers.emplace_back([&, w] {
@@ -542,7 +533,7 @@ void WritersUnderFaultLoadStayEpochConsistent(size_t shards) {
       }
       ASSERT_TRUE(fresh_table->AppendRow(row).ok());
     }
-    SOlapEngine fresh(fresh_table.get(), reg.get(), opts);
+    SOlapEngine fresh(fresh_table.get(), reg.get());
     auto want = fresh.Execute(spec, ExecStrategy::kAuto);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     EXPECT_EQ(EncodeShardPartial(**want, ScanStats{}), canonical)

@@ -1,11 +1,10 @@
 // Equivalence tests for the chunked container posting lists
-// (index/container.h): the container kernels and the two-segment
-// (base ⋈ delta) intersection must produce exactly the sid sets of the
-// flat std::set_intersection reference over adversarial distributions
-// (dense runs, singletons, chunk-boundary straddles), the per-pair kernel
-// dispatch must pick the kernel its policy names (checked through
-// ContainerOpCounts), and container lists must survive a CRC'd snapshot
-// round trip bit-identically.
+// (index/container.h): the container kernels must produce exactly the
+// sid sets of the flat std::set_intersection reference over adversarial
+// distributions (dense runs, singletons, chunk-boundary straddles), the
+// per-pair kernel dispatch must pick the kernel its policy names (checked
+// through ContainerOpCounts), and container lists must survive a CRC'd
+// snapshot round trip bit-identically.
 #include "solap/index/container.h"
 
 #include <gtest/gtest.h>
@@ -259,109 +258,6 @@ TEST(ContainerKernelPolicy, RunPairTalliesRunOps) {
   c = CountPair(Singletons(rng, 20000, kContainerSpan - 1), run_b);
   EXPECT_EQ(c.run_ops, 1u);
   EXPECT_EQ(c.array_ops + c.gallop_ops + c.bitmap_ops, 0u);
-}
-
-// One segment of a logical list, as IntersectSegmented sees it: absent
-// (null), present but empty, or a list.
-struct Segment {
-  bool null = true;
-  SidList list;
-  const SidList* ptr() const { return null ? nullptr : &list; }
-};
-
-Segment MakeSegment(std::mt19937& rng, const std::vector<Sid>& sids) {
-  Segment seg;
-  const unsigned pick = rng() % 8;
-  if (pick == 0) return seg;  // absent: its sids drop out of the list
-  seg.null = false;
-  if (pick != 1) seg.list = SidList::FromSorted(sids);  // 1: empty list
-  return seg;
-}
-
-TEST(SegmentedIntersect, RandomizedAgainstUnionReference) {
-  std::mt19937 rng(2008);
-  const Sid span = 4 * kContainerSpan;
-  for (int trial = 0; trial < 200; ++trial) {
-    SCOPED_TRACE(testing::Message() << "trial " << trial);
-    // Two logical lists over a shared pool, so they overlap. Each is split
-    // at its own watermark into base (< watermark) and delta (>= it): the
-    // per-index invariant. The watermarks differ, so a sid between them
-    // sits in one index's base and the other's delta (the cross-vintage
-    // case). Watermarks and straddle values hug the 2^16 chunk edges.
-    std::vector<Sid> pool = ChunkStraddle(3);
-    const size_t n = rng() % 3000;
-    for (size_t i = 0; i < n; ++i) pool.push_back(rng() % span);
-    if (rng() % 2 == 0) {
-      const std::vector<Sid> run = DenseRun(rng() % span, 1 + rng() % 5000);
-      pool.insert(pool.end(), run.begin(), run.end());
-    }
-    auto draw = [&] {
-      std::vector<Sid> v;
-      for (Sid s : pool) {
-        if (rng() % 3 != 0) v.push_back(s);
-      }
-      return Sorted(std::move(v));
-    };
-    auto watermark = [&]() -> Sid {
-      const Sid edge = static_cast<Sid>(1 + rng() % 3) * kContainerSpan;
-      switch (rng() % 4) {
-        case 0: return 0;     // everything in the delta
-        case 1: return span;  // everything in the base
-        case 2: return edge - 1 + rng() % 3;
-        default: return rng() % span;
-      }
-    };
-    const std::vector<Sid> a = draw(), b = draw();
-    const Sid wa = watermark(), wb = watermark();
-    auto split = [](const std::vector<Sid>& v, Sid w) {
-      const auto mid = std::lower_bound(v.begin(), v.end(), w);
-      return std::make_pair(std::vector<Sid>(v.begin(), mid),
-                            std::vector<Sid>(mid, v.end()));
-    };
-    const auto [a_base, a_delta] = split(a, wa);
-    const auto [b_base, b_delta] = split(b, wb);
-    const Segment sa_base = MakeSegment(rng, a_base);
-    const Segment sa_delta = MakeSegment(rng, a_delta);
-    const Segment sb_base = MakeSegment(rng, b_base);
-    const Segment sb_delta = MakeSegment(rng, b_delta);
-    auto logical = [](const Segment& base, const std::vector<Sid>& bv,
-                      const Segment& delta, const std::vector<Sid>& dv) {
-      std::vector<Sid> v;
-      if (!base.null && !base.list.empty()) v = bv;
-      if (!delta.null && !delta.list.empty()) {
-        v.insert(v.end(), dv.begin(), dv.end());
-      }
-      return v;
-    };
-    const std::vector<Sid> expect =
-        RefIntersect(logical(sa_base, a_base, sa_delta, a_delta),
-                     logical(sb_base, b_base, sb_delta, b_delta));
-    std::vector<Sid> got = {12345};  // stale content must be cleared
-    ContainerOpCounts counts;
-    IntersectSegmented(sa_base.ptr(), sa_delta.ptr(), sb_base.ptr(),
-                       sb_delta.ptr(), got, &counts);
-    EXPECT_EQ(got, expect);
-    IntersectSegmented(sb_base.ptr(), sb_delta.ptr(), sa_base.ptr(),
-                       sa_delta.ptr(), got, nullptr);
-    EXPECT_EQ(got, expect) << "swapped";
-  }
-}
-
-TEST(SegmentedIntersect, SidInOneBaseAndTheOtherDelta) {
-  // An older index still holds 70000 in its delta while a freshly built
-  // one has it in its base; 65535/65536 straddle the first chunk edge.
-  const SidList a_base = SidList::FromSorted(std::vector<Sid>{5, 65535});
-  const SidList a_delta = SidList::FromSorted(std::vector<Sid>{65536, 70000});
-  const SidList b_base =
-      SidList::FromSorted(std::vector<Sid>{5, 65536, 70000});
-  const SidList b_delta = SidList::FromSorted(std::vector<Sid>{65535});
-  std::vector<Sid> got;
-  IntersectSegmented(&a_base, &a_delta, &b_base, &b_delta, got, nullptr);
-  EXPECT_EQ(got, (std::vector<Sid>{5, 65535, 65536, 70000}));
-  IntersectSegmented(nullptr, &a_delta, &b_base, nullptr, got, nullptr);
-  EXPECT_EQ(got, (std::vector<Sid>{65536, 70000}));
-  IntersectSegmented(nullptr, nullptr, &b_base, &b_delta, got, nullptr);
-  EXPECT_TRUE(got.empty());
 }
 
 TEST(ContainerKernels, UnionManyMatchesReference) {

@@ -268,5 +268,106 @@ TEST_F(IndexTest, ByteSizeAndEntriesAccounting) {
   EXPECT_GT(stats_.lists_built, 0u);
 }
 
+// `got` and `want` hold the same lists: the same sid sets and sizes, and
+// containers with the same keys normalized to the same kinds.
+void ExpectSameLists(const InvertedIndex& got, const InvertedIndex& want) {
+  ASSERT_EQ(got.num_lists(), want.num_lists());
+  for (const auto& [key, list] : want.lists()) {
+    const SidList* g = got.Find(key);
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(g->size(), list.size());
+    EXPECT_EQ(g->ToVector(), list.ToVector());
+    ASSERT_EQ(g->containers().size(), list.containers().size());
+    for (size_t i = 0; i < list.containers().size(); ++i) {
+      EXPECT_EQ(g->containers()[i].key, list.containers()[i].key);
+      EXPECT_EQ(g->containers()[i].kind, list.containers()[i].kind);
+    }
+  }
+}
+
+// The incremental update (paper §6): appending the sids of new sequences
+// to an index in place yields the index a rebuild over the whole group
+// yields. Covered: last containers of run, bitmap and array kind, appends
+// that open a new 2^16 chunk and a new list, and complete indices whose
+// lists were built by BuildIndex, by a join (SidList::FromSorted) and by
+// a roll-up merge (UnionManySidLists).
+TEST_F(IndexTest, AppendToIndexInPlaceMatchesRebuild) {
+  auto set = std::make_shared<SequenceGroupSet>("symbol");
+  SequenceGroup& g = set->GroupFor({});
+  auto code = [&](const char* name) {
+    return set->raw_dictionary().GetOrAdd(name);
+  };
+  // Pentagon is in every sequence (a run container), Wheaton in every
+  // even one (a bitmap), Deanwood in every 97th (an array), Clarendon in
+  // every third, and Glenmont only from sid 65400 on.
+  auto add_until = [&](Sid end) {
+    for (Sid s = static_cast<Sid>(g.num_sequences()); s < end; ++s) {
+      std::vector<Code> seq = {code("Pentagon")};
+      if (s % 2 == 0) seq.push_back(code("Wheaton"));
+      if (s % 97 == 0) seq.push_back(code("Deanwood"));
+      if (s % 3 == 1) seq.push_back(code("Clarendon"));
+      if (s >= 65400) seq.push_back(code("Glenmont"));
+      g.AddSequence(seq);
+    }
+    g.InvalidateViews();  // views cover the old extent only
+  };
+  auto build = [&](const IndexShape& shape) {
+    auto r = BuildIndex(&g, *set, reg_.get(), shape, &stats_);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return *r;
+  };
+  add_until(30000);
+
+  auto l1 = build(Shape(1));
+  auto last_kind = [&](const char* name) {
+    return l1->Find({code(name)})->containers().back().kind;
+  };
+  ASSERT_EQ(last_kind("Pentagon"), SidContainer::Kind::kRun);
+  ASSERT_EQ(last_kind("Wheaton"), SidContainer::Kind::kBitmap);
+  ASSERT_EQ(last_kind("Deanwood"), SidContainer::Kind::kArray);
+
+  auto l2 = build(Shape(2));
+  PatternDim dx{"X", {"symbol", "symbol"}, {}, ""};
+  PatternDim dy{"Y", {"symbol", "symbol"}, {}, ""};
+  PatternDim dz{"Z", {"symbol", "symbol"}, {}, ""};
+  auto t = PatternTemplate::Make(PatternKind::kSubstring, {"X", "Y", "Z"},
+                                 {dx, dy, dz});
+  ASSERT_TRUE(t.ok());
+  auto bp = BoundPattern::Bind(&*t, &g, *set, reg_.get(), nullptr, {});
+  ASSERT_TRUE(bp.ok());
+  auto l3 = JoinExtendRight(*l2, *l2, *t, 0, *bp, &stats_);
+  ASSERT_TRUE(l3.ok()) << l3.status().ToString();
+  ASSERT_TRUE((*l3)->complete());
+  ASSERT_GT((*l3)->num_lists(), 0u);
+
+  std::vector<Code> map =
+      reg_->Find("symbol")->LevelToLevel(set->raw_dictionary(), 0, 1);
+  IndexShape coarse = Shape(2);
+  coarse.positions[1].level = "district";
+  auto rolled = RollUpMerge(*l2, {std::vector<Code>{}, map}, coarse, nullptr,
+                            nullptr, &stats_);
+  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+
+  const std::vector<std::shared_ptr<InvertedIndex>> grown = {l1, l2, *l3,
+                                                             *rolled};
+  // Up to 65400 every append lands in the last container of the first
+  // 2^16 chunk; up to 66000 the appends open the next chunk, and
+  // Glenmont's lists appear.
+  for (Sid end : {Sid{65400}, Sid{66000}}) {
+    const Sid from = static_cast<Sid>(g.num_sequences());
+    add_until(end);
+    for (const auto& index : grown) {
+      SCOPED_TRACE(index->shape().CanonicalString() + " up to " +
+                   std::to_string(end));
+      ASSERT_TRUE(
+          AppendToIndex(index.get(), &g, *set, reg_.get(), from, &stats_)
+              .ok());
+      ExpectSameLists(*index, *build(index->shape()));
+    }
+  }
+  EXPECT_EQ(l1->Find({code("Pentagon")})->containers().size(), 2u);
+  EXPECT_NE(l1->Find({code("Glenmont")}), nullptr);
+}
+
 }  // namespace
 }  // namespace solap

@@ -5,8 +5,8 @@
 //
 // The oracle exploits two structural facts. The table is append-only, so
 // the first k rows at any instant equal the first k rows of the final
-// table. And only ingest commits advance the epoch (+2 each; merges and
-// dictionary syncs abandon their write slot), so with a fixed batch size R
+// table. And only ingest commits advance the epoch (+2 each; dictionary
+// syncs abandon their write slot), so with a fixed batch size R
 // and B base rows, a reader observing epoch e saw exactly the first
 // B + R * (e / 2) rows — no matter how the writers interleaved.
 #include <gtest/gtest.h>
@@ -48,12 +48,6 @@ CuboidSpec SimpleSpec() {
 
 std::string Canonical(const SCuboid& c) {
   return EncodeShardPartial(c, ScanStats{});
-}
-
-EngineOptions BaseOptions() {
-  EngineOptions o;
-  o.auto_delta_merge = false;  // merges run via the explicit kicker thread
-  return o;
 }
 
 // Writer w's batch b: two events of one sequence. Unique timestamps per
@@ -114,12 +108,11 @@ class EpochJournal {
   std::map<uint64_t, std::string> seen_;
 };
 
-// Drives writers/readers/merge-kicker against `execute` + `ingest` +
-// `merge`, then verifies every observed epoch against `rebuild`.
+// Drives writers/readers against `execute` + `ingest`, then verifies
+// every observed epoch against `rebuild`.
 struct Harness {
   std::function<Result<std::string>(uint64_t* epoch_out)> execute;
   std::function<Status(const std::vector<std::vector<Value>>&)> ingest;
-  std::function<Status()> merge;
   // Fresh-engine answer over the first `rows` rows of the final table.
   std::function<std::string(size_t rows)> rebuild;
 
@@ -144,13 +137,6 @@ struct Harness {
         } while (true);
       });
     }
-    threads.emplace_back([&] {  // merge kicker: never advances the epoch
-      while (!done.load()) {
-        Status s = merge();
-        EXPECT_TRUE(s.ok()) << s.ToString();
-        std::this_thread::yield();
-      }
-    });
     std::vector<std::thread> writers;
     for (size_t w = 0; w < kWriters; ++w) {
       writers.emplace_back([&, w] {
@@ -180,7 +166,7 @@ struct Harness {
 TEST(IngestConsistencyTest, MonolithicEngineBitIdenticalPerEpoch) {
   auto table = Fig8Table();
   auto reg = Fig8Hierarchies();
-  SOlapEngine engine(table.get(), reg.get(), BaseOptions());
+  SOlapEngine engine(table.get(), reg.get());
   const size_t base_rows = table->num_rows();
 
   Harness h;
@@ -194,10 +180,9 @@ TEST(IngestConsistencyTest, MonolithicEngineBitIdenticalPerEpoch) {
   h.ingest = [&](const std::vector<std::vector<Value>>& rows) {
     return engine.IngestRows(rows);
   };
-  h.merge = [&] { return engine.MergeDeltasNow(); };
   h.rebuild = [&](size_t rows) {
     auto fresh_table = CopyPrefix(*table, rows);
-    SOlapEngine fresh(fresh_table.get(), reg.get(), BaseOptions());
+    SOlapEngine fresh(fresh_table.get(), reg.get());
     auto r = fresh.Execute(SimpleSpec(), ExecStrategy::kAuto);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() ? Canonical(**r) : std::string();
@@ -208,7 +193,7 @@ TEST(IngestConsistencyTest, MonolithicEngineBitIdenticalPerEpoch) {
 TEST(IngestConsistencyTest, ShardedEngineBitIdenticalPerEpoch) {
   auto table = Fig8Table();
   auto reg = Fig8Hierarchies();
-  EngineOptions opts = BaseOptions();
+  EngineOptions opts;
   opts.shards = 2;
   opts.shard_by = "card-id";
   ShardedEngine engine(table.get(), reg.get(), opts);
@@ -225,7 +210,6 @@ TEST(IngestConsistencyTest, ShardedEngineBitIdenticalPerEpoch) {
   h.ingest = [&](const std::vector<std::vector<Value>>& rows) {
     return engine.IngestRows(rows);
   };
-  h.merge = [&] { return engine.MergeDeltasNow(); };
   h.rebuild = [&](size_t rows) {
     auto fresh_table = CopyPrefix(*table, rows);
     ShardedEngine fresh(fresh_table.get(), reg.get(), opts);
@@ -254,12 +238,15 @@ TEST(IngestConsistencyTest, ShardedFallbackBitIdenticalPerEpoch) {
   reg->Register("card-id", fares);
   CuboidSpec spec = SimpleSpec();
   spec.seq.cluster_by = {{"card-id", "fare-group"}};
-  EngineOptions opts = BaseOptions();
+  EngineOptions opts;
   opts.shards = 2;
   opts.shard_by = "card-id";
   ShardedEngine engine(table.get(), reg.get(), opts);
   ASSERT_FALSE(engine.Shardable(spec));
   const size_t base_rows = table->num_rows();
+  // Cache the cuboid in the fallback first, so the first committed batch
+  // (a new card, so a new cluster key) patches it whatever the readers do.
+  ASSERT_TRUE(engine.Execute(spec, ExecStrategy::kAuto).ok());
 
   Harness h;
   h.execute = [&](uint64_t* epoch_out) -> Result<std::string> {
@@ -272,10 +259,9 @@ TEST(IngestConsistencyTest, ShardedFallbackBitIdenticalPerEpoch) {
   h.ingest = [&](const std::vector<std::vector<Value>>& rows) {
     return engine.IngestRows(rows);
   };
-  h.merge = [&] { return engine.MergeDeltasNow(); };
   h.rebuild = [&](size_t rows) {
     auto fresh_table = CopyPrefix(*table, rows);
-    SOlapEngine fresh(fresh_table.get(), reg.get(), BaseOptions());
+    SOlapEngine fresh(fresh_table.get(), reg.get());
     auto r = fresh.Execute(spec, ExecStrategy::kAuto);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() ? Canonical(**r) : std::string();
@@ -306,7 +292,7 @@ CuboidSpec WindowedSpec() {
 TEST(IngestConsistencyTest, WindowedFormationBitIdenticalPerEpoch) {
   auto table = Fig8Table();
   auto reg = Fig8Hierarchies();
-  SOlapEngine engine(table.get(), reg.get(), BaseOptions());
+  SOlapEngine engine(table.get(), reg.get());
   const size_t base_rows = table->num_rows();
   // Cache the windowed formation (and its base) and its cuboid first.
   ScanStats first;
@@ -328,10 +314,9 @@ TEST(IngestConsistencyTest, WindowedFormationBitIdenticalPerEpoch) {
   h.ingest = [&](const std::vector<std::vector<Value>>& rows) {
     return engine.IngestRows(rows);
   };
-  h.merge = [&] { return engine.MergeDeltasNow(); };
   h.rebuild = [&](size_t rows) {
     auto fresh_table = CopyPrefix(*table, rows);
-    SOlapEngine fresh(fresh_table.get(), reg.get(), BaseOptions());
+    SOlapEngine fresh(fresh_table.get(), reg.get());
     CuboidSpec oracle = WindowedSpec();
     oracle.seq.where = Expr::Not(Expr::Not(oracle.seq.where));
     auto r = fresh.Execute(oracle, ExecStrategy::kAuto);
@@ -344,7 +329,7 @@ TEST(IngestConsistencyTest, WindowedFormationBitIdenticalPerEpoch) {
 TEST(IngestConsistencyTest, ShardedWindowedFormationBitIdenticalPerEpoch) {
   auto table = Fig8Table();
   auto reg = Fig8Hierarchies();
-  EngineOptions opts = BaseOptions();
+  EngineOptions opts;
   opts.shards = 2;
   opts.shard_by = "card-id";
   ShardedEngine engine(table.get(), reg.get(), opts);
@@ -362,7 +347,6 @@ TEST(IngestConsistencyTest, ShardedWindowedFormationBitIdenticalPerEpoch) {
   h.ingest = [&](const std::vector<std::vector<Value>>& rows) {
     return engine.IngestRows(rows);
   };
-  h.merge = [&] { return engine.MergeDeltasNow(); };
   h.rebuild = [&](size_t rows) {
     auto fresh_table = CopyPrefix(*table, rows);
     ShardedEngine fresh(fresh_table.get(), reg.get(), opts);

@@ -69,17 +69,11 @@ class IngestTest : public ::testing::Test {
   IngestTest()
       : table_(Fig8Table()),
         reg_(Fig8Hierarchies()),
-        engine_(table_.get(), reg_.get(), NoAutoMerge()) {}
-
-  static EngineOptions NoAutoMerge() {
-    EngineOptions o;
-    o.auto_delta_merge = false;  // deterministic: merges happen when told
-    return o;
-  }
+        engine_(table_.get(), reg_.get()) {}
 
   std::string FreshAnswer(ExecStrategy strategy = ExecStrategy::kAuto) {
     auto fresh_table = CopyPrefix(*table_, table_->num_rows());
-    SOlapEngine fresh(fresh_table.get(), reg_.get(), NoAutoMerge());
+    SOlapEngine fresh(fresh_table.get(), reg_.get());
     auto r = fresh.Execute(SimpleSpec(), strategy);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return Canonical(**r);
@@ -204,29 +198,32 @@ TEST_F(IngestTest, InvalidRowRejectsWholeBatchAndEpochHolds) {
   EXPECT_EQ(Canonical(**r), before);
 }
 
-TEST_F(IngestTest, DeltaSegmentsMergeWithoutChangingAnswers) {
-  // Warm a complete index, then extend it via appends: the new sids land
-  // in a delta segment, and folding it must not change any answer.
-  auto warm = engine_.Execute(SimpleSpec(), ExecStrategy::kInvertedIndex);
-  ASSERT_TRUE(warm.ok());
+// Ingest appends the new sids into the cached complete index in place: the
+// next II query reuses that index, builds no list, and answers exactly as
+// a rebuild does.
+TEST_F(IngestTest, CachedIndexGrowsInPlace) {
+  EngineOptions opts;
+  opts.repository_capacity_bytes = 0;  // every query reaches the index
+  SOlapEngine engine(table_.get(), reg_.get(), opts);
+  ASSERT_TRUE(engine.Execute(SimpleSpec(), ExecStrategy::kInvertedIndex).ok());
+  ASSERT_GT(engine.IndexCacheBytes(), 0u);
   const int64_t t = MakeTimestamp(2007, 12, 26, 11, 0, 0);
-  ASSERT_TRUE(engine_
+  ASSERT_TRUE(engine
                   .IngestRows({Row(t, "9005", "Pentagon", "in", 0.0),
                                Row(t + 60, "9005", "Clarendon", "out", -2.0)})
                   .ok());
-  EXPECT_GT(engine_.DeltaSnapshot().segments, 0u);
+  EXPECT_EQ(engine.StatsSnapshot().formation_invalidations, 0u);
+  EXPECT_GT(engine.IndexCacheBytes(), 0u);
 
-  auto live = engine_.Execute(SimpleSpec(), ExecStrategy::kInvertedIndex);
-  ASSERT_TRUE(live.ok());
+  ScanStats live_stats;
+  ExecControl control;
+  control.stats_out = &live_stats;
+  auto live =
+      engine.Execute(SimpleSpec(), ExecStrategy::kInvertedIndex, control);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_GT(live_stats.index_cache_hits, 0u);
+  EXPECT_EQ(live_stats.lists_built, 0u);
   EXPECT_EQ(Canonical(**live), FreshAnswer(ExecStrategy::kInvertedIndex));
-
-  const uint64_t epoch_before = engine_.epoch();
-  ASSERT_TRUE(engine_.MergeDeltasNow().ok());
-  EXPECT_EQ(engine_.DeltaSnapshot().segments, 0u);
-  EXPECT_EQ(engine_.epoch(), epoch_before);  // merge is not observable
-  auto merged = engine_.Execute(SimpleSpec(), ExecStrategy::kInvertedIndex);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(Canonical(**merged), Canonical(**live));
 }
 
 TEST_F(IngestTest, CachedCuboidIsPatchedForNewClusterKeys) {
@@ -261,7 +258,7 @@ TEST_F(IngestTest, ExistingClusterKeyInvalidatesAndRebuilds) {
 TEST_F(IngestTest, ShardedEngineRoutesAppendsToOwningShards) {
   for (size_t shards : {size_t{1}, size_t{2}, size_t{3}}) {
     auto table = Fig8Table();
-    EngineOptions opts = NoAutoMerge();
+    EngineOptions opts;
     opts.shards = shards;
     opts.shard_by = "card-id";
     ShardedEngine engine(table.get(), reg_.get(), opts);
@@ -284,7 +281,7 @@ TEST_F(IngestTest, ShardedEngineRoutesAppendsToOwningShards) {
     EXPECT_EQ(seen_epoch, 2u);
 
     auto fresh_table = CopyPrefix(*table, table->num_rows());
-    SOlapEngine fresh(fresh_table.get(), reg_.get(), NoAutoMerge());
+    SOlapEngine fresh(fresh_table.get(), reg_.get());
     auto f = fresh.Execute(SimpleSpec(), ExecStrategy::kAuto);
     ASSERT_TRUE(f.ok());
     EXPECT_EQ(Canonical(**r), Canonical(**f)) << shards << " shards";
@@ -293,7 +290,7 @@ TEST_F(IngestTest, ShardedEngineRoutesAppendsToOwningShards) {
 
 TEST_F(IngestTest, ShardedEvictBeforeAppliesOnEveryShard) {
   auto table = Fig8Table();
-  EngineOptions opts = NoAutoMerge();
+  EngineOptions opts;
   opts.shards = 2;
   opts.shard_by = "card-id";
   ShardedEngine engine(table.get(), reg_.get(), opts);
@@ -310,7 +307,7 @@ TEST_F(IngestTest, ShardedEvictBeforeAppliesOnEveryShard) {
 // that scan no sequence and still equal a fresh rebuild.
 TEST_F(IngestTest, ShardedCachedCuboidIsPatchedInItsShard) {
   auto table = Fig8Table();
-  EngineOptions opts = NoAutoMerge();
+  EngineOptions opts;
   opts.shards = 2;
   opts.shard_by = "card-id";
   ShardedEngine engine(table.get(), reg_.get(), opts);
@@ -333,23 +330,23 @@ TEST_F(IngestTest, ShardedCachedCuboidIsPatchedInItsShard) {
   EXPECT_EQ(repeat.sequences_scanned, 0u);
 
   auto fresh_table = CopyPrefix(*table, table->num_rows());
-  SOlapEngine fresh(fresh_table.get(), reg_.get(), NoAutoMerge());
+  SOlapEngine fresh(fresh_table.get(), reg_.get());
   auto f = fresh.Execute(SimpleSpec(), ExecStrategy::kCounterBased);
   ASSERT_TRUE(f.ok());
   EXPECT_EQ(Canonical(**r), Canonical(**f));
 }
 
-// Write-side counters are counted once, in the shard that did the write,
-// and summed into the facade totals: a service over a sharded engine
-// publishes the shards' delta merges and counts each event once.
-TEST_F(IngestTest, ShardedServicePublishesShardDeltaMerges) {
+// Write-side counters are counted once, in the executor that did the
+// write, and summed into the facade totals: the shard that grew patches
+// its cached cuboid, and each event counts once.
+TEST_F(IngestTest, ShardedEngineSumsShardWriteCounters) {
   auto table = Fig8Table();
-  EngineOptions opts = NoAutoMerge();
+  EngineOptions opts;
   opts.shards = 2;
   opts.shard_by = "card-id";
   ShardedEngine engine(table.get(), reg_.get(), opts);
   QueryService service(&engine);
-  // Complete indices on every shard, so the append grows a delta segment.
+  // A cuboid cached on every shard, for the owning shard to patch.
   ASSERT_TRUE(
       engine.Execute(SimpleSpec(), ExecStrategy::kInvertedIndex).ok());
   const int64_t t = MakeTimestamp(2007, 12, 26, 17, 0, 0);
@@ -357,11 +354,11 @@ TEST_F(IngestTest, ShardedServicePublishesShardDeltaMerges) {
                                   Row(t + 60, "9012", "Clarendon", "out",
                                       -2.0)});
   ASSERT_TRUE(ingested.status.ok()) << ingested.status.ToString();
-  ASSERT_GT(engine.DeltaSnapshot().segments, 0u);
-  ASSERT_TRUE(engine.MergeDeltasNow().ok());
-  service.RefreshResourceMetrics();
-  EXPECT_GT(service.metrics().counter("delta_merges")->Value(), 0u);
-  EXPECT_EQ(engine.StatsSnapshot().ingested_events, 2u);
+  const ScanStats totals = engine.StatsSnapshot();
+  EXPECT_EQ(totals.ingested_events, 2u);
+  EXPECT_GT(totals.cuboid_patches, 0u);
+  EXPECT_EQ(totals.stale_cuboid_invalidations, 0u);
+  EXPECT_EQ(service.metrics().counter("ingest_events")->Value(), 2u);
 }
 
 TEST_F(IngestTest, ServiceIngestCountsEventsAndReportsEpoch) {

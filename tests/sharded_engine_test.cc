@@ -467,8 +467,8 @@ TEST(ShardedEngine, ServiceExportsShardCounters) {
   EXPECT_GT(service.metrics().counter("shard_merged_cells")->Value(), 0u);
 }
 
-// Walkers of the shards (memory and index-cache getters, the delta
-// snapshot, MergeDeltasNow, WarmSequenceCache, MaterializeIndex) race facade
+// Walkers of the shards (memory and index-cache getters,
+// WarmSequenceCache, MaterializeIndex) race facade
 // appends that grow the slices. Batches alternate between new cards (the
 // formations extend) and existing cards (the formations are invalidated,
 // so the next warm-up re-forms from the slices). Every reader of a slice
@@ -500,8 +500,7 @@ TEST(ShardedEngine, ShardWalksStaySafeAcrossFacadeAppends) {
     size_t sink = 0;
     while (!done.load()) {
       sink += engine.MemUsed() + engine.MemBudget() + engine.MemRejects() +
-              engine.IndexCacheBytes() + engine.DeltaSnapshot().bytes;
-      (void)engine.MergeDeltasNow();
+              engine.IndexCacheBytes();
       (void)engine.WarmSequenceCache(spec.seq);
       (void)engine.MaterializeIndex(spec.seq, shape);
     }

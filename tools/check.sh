@@ -8,7 +8,7 @@
 # surface: engine thread-safety, thread pool, query service, sessions,
 # the shard scatter, shard walkers racing the sharded facade's appends,
 # the one write path — table ingest and raw appends, concurrent
-# writers + readers + the delta merger against the epoch gate — windowed
+# writers + readers against the epoch gate — windowed
 # formations derived from a shared base while the sequence cache evicts,
 # and concept-hierarchy label lookups while a formation compiles it).
 #

@@ -25,11 +25,13 @@ literal_names=$(grep -rhoE '(\.|->)(counter|gauge|histogram)\("[a-z0-9_]+"\)' sr
 
 # The query service registers one per-query counter for each row of the
 # ScanStats table that names one:  {"key", &ScanStats::member, "metric"},
-# (a row may wrap, so the table is read as one line; "" names none).
+# optionally followed by a side column (, StatsSide::kWrite). A row may
+# wrap, so the table is read as one line; "" names none.
 STATS=src/solap/common/stats.h
 table_names=$(sed -n '/kStatsFields\[\] = {/,/^};/p' "$STATS" | tr '\n' ' ' |
-  grep -oE '\{"[a-z0-9_]+", *&ScanStats::[a-z0-9_]+, *"[a-z0-9_]*"\}' |
-  sed -E 's/.*"([a-z0-9_]*)"\}$/\1/' | grep . | sort -u || true)
+  grep -oE '\{"[a-z0-9_]+", *&ScanStats::[a-z0-9_]+, *"[a-z0-9_]*"(, *StatsSide::k[A-Za-z]+)?\}' |
+  sed -E 's/^\{"[a-z0-9_]+", *&ScanStats::[a-z0-9_]+, *"([a-z0-9_]*)".*/\1/' |
+  grep . | sort -u || true)
 [[ -n "$table_names" ]] || { echo "doc-lint: no metric names in the $STATS counter table" >&2; exit 1; }
 
 code_names=$(printf '%s\n%s\n' "$literal_names" "$table_names" | sort -u)
