@@ -13,7 +13,7 @@ std::shared_ptr<const SCuboid> CuboidRepository::Lookup(
 
 void CuboidRepository::Insert(const std::string& spec_key,
                               std::shared_ptr<const SCuboid> cuboid,
-                              const CuboidSpec& spec, uint64_t epoch) {
+                              const CuboidSpec& spec) {
   if (capacity_bytes_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   const size_t bytes = cuboid->ByteSize();
@@ -30,20 +30,15 @@ void CuboidRepository::Insert(const std::string& spec_key,
     lru_.erase(it->second);
     map_.erase(it);
   }
-  lru_.push_front(Entry{spec_key, std::move(cuboid), bytes, spec, epoch});
+  lru_.push_front(Entry{spec_key, std::move(cuboid), bytes, spec});
   map_[spec_key] = lru_.begin();
   bytes_used_ += bytes;
   EvictIfNeeded();
 }
 
-std::vector<CuboidRepository::Snapshot> CuboidRepository::Entries() const {
+std::vector<CuboidRepository::Entry> CuboidRepository::Entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Snapshot> out;
-  out.reserve(lru_.size());
-  for (const Entry& e : lru_) {
-    out.push_back(Snapshot{e.key, e.cuboid, e.spec, e.epoch});
-  }
-  return out;
+  return {lru_.begin(), lru_.end()};
 }
 
 void CuboidRepository::Erase(const std::string& spec_key) {
@@ -57,8 +52,7 @@ void CuboidRepository::Erase(const std::string& spec_key) {
 }
 
 void CuboidRepository::Replace(const std::string& spec_key,
-                               std::shared_ptr<const SCuboid> cuboid,
-                               uint64_t epoch) {
+                               std::shared_ptr<const SCuboid> cuboid) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(spec_key);
   if (it == map_.end()) return;
@@ -78,7 +72,6 @@ void CuboidRepository::Replace(const std::string& spec_key,
   bytes_used_ = bytes_used_ - e.bytes + new_bytes;
   e.bytes = new_bytes;
   e.cuboid = std::move(cuboid);
-  e.epoch = epoch;
   EvictIfNeeded();
 }
 

@@ -42,32 +42,30 @@ class CuboidRepository {
 
   /// Inserts (or replaces) the cuboid for `spec_key`, evicting
   /// least-recently-used entries to honor the byte budget. The entry
-  /// carries the spec that produced the cuboid plus the engine epoch it was
-  /// computed at — the metadata streaming ingestion needs to delta-patch
-  /// (pattern-invariant appends) or invalidate the entry
-  /// (docs/INGESTION.md).
+  /// carries the spec that produced the cuboid — what streaming ingestion
+  /// needs to delta-patch (pattern-invariant appends) or invalidate the
+  /// entry (docs/INGESTION.md).
   void Insert(const std::string& spec_key,
-              std::shared_ptr<const SCuboid> cuboid, const CuboidSpec& spec,
-              uint64_t epoch);
+              std::shared_ptr<const SCuboid> cuboid, const CuboidSpec& spec);
 
-  /// One repository entry as seen by the maintenance pass.
-  struct Snapshot {
+  struct Entry {
     std::string key;
     std::shared_ptr<const SCuboid> cuboid;
+    size_t bytes;
     CuboidSpec spec;
-    uint64_t epoch = 0;
   };
-  /// All entries, LRU order not implied. Recency is NOT refreshed.
-  std::vector<Snapshot> Entries() const;
+  /// Copies of all entries (the maintenance pass walks them), LRU order not
+  /// implied. Recency is NOT refreshed.
+  std::vector<Entry> Entries() const;
 
   /// Drops one entry (ingestion's invalidation of unpatchable cuboids).
   void Erase(const std::string& spec_key);
 
-  /// Swaps in a patched cuboid for an existing entry, re-stamping its
-  /// epoch; keeps the stored spec and recency. No-op if the key is absent
-  /// (it may have been evicted concurrently).
+  /// Swaps in a patched cuboid for an existing entry; keeps the stored
+  /// spec and recency. No-op if the key is absent (it may have been
+  /// evicted concurrently).
   void Replace(const std::string& spec_key,
-               std::shared_ptr<const SCuboid> cuboid, uint64_t epoch);
+               std::shared_ptr<const SCuboid> cuboid);
 
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -80,14 +78,6 @@ class CuboidRepository {
   void Clear();
 
  private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const SCuboid> cuboid;
-    size_t bytes;
-    CuboidSpec spec;
-    uint64_t epoch = 0;
-  };
-
   void EvictIfNeeded();  // requires mu_ held
 
   mutable std::mutex mu_;

@@ -21,8 +21,6 @@ SOlapEngine::SOlapEngine(const EventTable* table,
       governor_(options.memory_budget_bytes),
       repository_(options.repository_capacity_bytes) {
   sequence_cache_.set_governor(&governor_);
-  sequence_cache_.set_release_hook(
-      [this](const SequenceGroupSet& set) { DropIndexCachesFor(set.id()); });
   repository_.set_governor(&governor_);
 }
 
@@ -41,10 +39,9 @@ SOlapEngine::SOlapEngine(std::shared_ptr<SequenceGroupSet> raw_groups,
       hierarchies_(hierarchies),
       options_(options),
       governor_(options.memory_budget_bytes),
-      repository_(options.repository_capacity_bytes) {
+      repository_(options.repository_capacity_bytes),
+      raw_index_caches_(std::make_shared<FormationIndexCaches>(&governor_)) {
   sequence_cache_.set_governor(&governor_);
-  sequence_cache_.set_release_hook(
-      [this](const SequenceGroupSet& set) { DropIndexCachesFor(set.id()); });
   repository_.set_governor(&governor_);
 }
 
@@ -202,7 +199,7 @@ Result<std::shared_ptr<const SCuboid>> SOlapEngine::ExecuteGuarded(
   }
   SOLAP_RETURN_NOT_OK(
       LabelCells(cuboid.get(), *ctx.groups, hierarchies_, spec.dims));
-  repository_.Insert(key, cuboid, spec, gate_.epoch());
+  repository_.Insert(key, cuboid, spec);
   fin_span.Count("cells", cuboid->cells().size());
   return std::shared_ptr<const SCuboid>(cuboid);
 }
@@ -274,7 +271,7 @@ Result<std::shared_ptr<SequenceGroupSet>> SOlapEngine::GetGroups(
   // does, so rebuild-vs-extend answers agree (docs/INGESTION.md).
   const RowFilter* filter = retention_.col >= 0 ? &retention_ : nullptr;
   // Concurrent builders of the same formation converge on one canonical
-  // set, keeping the per-group index caches (keyed by set id) shared.
+  // set, and so share the index caches its cache entry owns.
   if (std::optional<WindowSplit> split = SplitWindow(table_->schema(), s)) {
     std::shared_ptr<SequenceGroupSet> base =
         sequence_cache_.Lookup(split->base);
@@ -392,9 +389,10 @@ Status SOlapEngine::MaterializeIndex(const SequenceSpec& formation,
   EpochGate::ReadLock rl(gate_);
   SOLAP_ASSIGN_OR_RETURN(std::shared_ptr<SequenceGroupSet> groups,
                          GroupsFor(formation));
+  std::shared_ptr<FormationIndexCaches> caches = IndexCachesOf(*groups);
   ScanStats local;
   for (size_t gi = 0; gi < groups->groups().size(); ++gi) {
-    std::shared_ptr<GroupIndexCache> cache = CacheFor(*groups, gi);
+    std::shared_ptr<GroupIndexCache> cache = caches->For(gi);
     if (cache->Find(shape, "") != nullptr) continue;
     auto built = BuildIndex(&groups->groups()[gi], *groups, hierarchies_,
                             shape, &local, &governor_);
@@ -418,9 +416,13 @@ Status SOlapEngine::WarmSequenceCache(const SequenceSpec& spec) {
 }
 
 size_t SOlapEngine::IndexCacheBytes() const {
-  std::lock_guard<std::mutex> lock(index_caches_mu_);
-  size_t bytes = 0;
-  for (const auto& [key, cache] : index_caches_) bytes += cache->TotalBytes();
+  size_t bytes = raw_index_caches_ != nullptr ? raw_index_caches_->TotalBytes()
+                                              : 0;
+  for (const auto& [spec, set] : sequence_cache_.Entries()) {
+    if (auto caches = sequence_cache_.IndexCachesOf(*set)) {
+      bytes += caches->TotalBytes();
+    }
+  }
   return bytes;
 }
 
@@ -447,28 +449,17 @@ Result<std::vector<Code>> SOlapEngine::LevelMapFor(
   return h->LevelToLevel(*base_dict, from_level, to_level);
 }
 
-std::shared_ptr<GroupIndexCache> SOlapEngine::CacheFor(
-    const SequenceGroupSet& set, size_t group_idx) {
-  // The cache itself synchronizes internally. The governor is fixed when
-  // the entry is created: a lookup writes nothing. The membership check
-  // runs under index_caches_mu_, and a set leaving the sequence cache is
-  // dropped here under the same lock after it left, so no entry for a
-  // released set can outlive that drop.
-  std::lock_guard<std::mutex> lock(index_caches_mu_);
-  if (&set != raw_groups_.get() && !sequence_cache_.Holds(set)) {
-    return std::make_shared<GroupIndexCache>(&governor_);
-  }
-  std::shared_ptr<GroupIndexCache>& cache =
-      index_caches_[{set.id(), group_idx}];
-  if (cache == nullptr) cache = std::make_shared<GroupIndexCache>(&governor_);
-  return cache;
+std::shared_ptr<FormationIndexCaches> SOlapEngine::IndexCachesOf(
+    const SequenceGroupSet& set) {
+  if (&set == raw_groups_.get()) return raw_index_caches_;
+  auto caches = sequence_cache_.IndexCachesOf(set);
+  return caches != nullptr ? caches
+                           : std::make_shared<FormationIndexCaches>(&governor_);
 }
 
 std::shared_ptr<const GroupIndexCache> SOlapEngine::FindIndexCache(
-    const SequenceGroupSet& set, size_t group_idx) const {
-  std::lock_guard<std::mutex> lock(index_caches_mu_);
-  auto it = index_caches_.find({set.id(), group_idx});
-  return it == index_caches_.end() ? nullptr : it->second;
+    const SequenceGroupSet& set, size_t group_idx) {
+  return IndexCachesOf(set)->Find(group_idx);
 }
 
 }  // namespace solap

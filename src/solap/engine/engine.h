@@ -6,7 +6,6 @@
 #define SOLAP_ENGINE_ENGINE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -206,10 +205,12 @@ class SOlapEngine {
   /// touches an EXISTING cluster key conservatively invalidates that
   /// formation and its dependents. All-or-nothing: a validation failure
   /// rejects the whole batch and the epoch does not advance (nor for an
-  /// empty batch).
+  /// empty batch). `epoch_out` (if set) receives the epoch the batch
+  /// committed, which a later epoch() may already have moved past.
   /// Requires the mutable-table constructor; InvalidArgument otherwise.
   Status IngestRows(const std::vector<std::vector<Value>>& rows,
-                    TraceContext* trace = nullptr);
+                    TraceContext* trace = nullptr,
+                    uint64_t* epoch_out = nullptr);
 
   /// Applies a replicated dictionary tail to the backing table under the
   /// write gate: codes [from, from+values.size()) must match the sender's.
@@ -272,7 +273,7 @@ class SOlapEngine {
   /// The index cache of one group, or nullptr if none exists yet. The
   /// caller's reference keeps it alive even if its set leaves the cache.
   std::shared_ptr<const GroupIndexCache> FindIndexCache(
-      const SequenceGroupSet& set, size_t group_idx) const;
+      const SequenceGroupSet& set, size_t group_idx);
 
  private:
   /// Everything resolved once per query execution.
@@ -357,11 +358,12 @@ class SOlapEngine {
                                         const std::string& attr,
                                         int from_level, int to_level) const;
 
-  /// The index cache of one group, created on first use. A set the
-  /// sequence cache does not hold (refused by the governor, or evicted)
-  /// gets a fresh cache that is not kept: nothing could reach it again.
-  std::shared_ptr<GroupIndexCache> CacheFor(const SequenceGroupSet& set,
-                                            size_t group_idx);
+  /// The index caches of `set`: the raw set's, or those its sequence
+  /// cache entry owns. A set the cache does not hold (refused by the
+  /// governor, or evicted) gets empty ones that are not kept: nothing
+  /// could reach them again, so they die with the caller's reference.
+  std::shared_ptr<FormationIndexCaches> IndexCachesOf(
+      const SequenceGroupSet& set);
 
   // -- Streaming-ingestion internals (engine/ingest.cc) ----------------------
 
@@ -393,10 +395,6 @@ class SOlapEngine {
   /// always raw_groups_), else nullptr.
   std::shared_ptr<SequenceGroupSet> FormedGroups(const SequenceSpec& s) const;
 
-  /// Drops the per-group index caches of the set with id `set_id`; the
-  /// sequence cache calls it for every set that leaves it.
-  void DropIndexCachesFor(uint64_t set_id);
-
   /// Folds one execution's counters into the engine totals.
   void MergeStats(const ScanStats& delta) {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -421,15 +419,11 @@ class SOlapEngine {
   // Declared before every cache that charges it: caches refund their
   // charges on destruction, so the governor must be torn down last.
   MemoryGovernor governor_;
+  // Each entry owns the index caches of its formation.
   SequenceCache sequence_cache_;
   CuboidRepository repository_;
-  // Index caches keyed by (SequenceGroupSet::id(), group ordinal), only for
-  // sets the sequence cache holds (and the raw set). The map itself is
-  // guarded by index_caches_mu_; each GroupIndexCache synchronizes
-  // internally, and a query holding one keeps it alive after it is dropped.
-  std::map<std::pair<uint64_t, size_t>, std::shared_ptr<GroupIndexCache>>
-      index_caches_;
-  mutable std::mutex index_caches_mu_;
+  // The index caches of raw_groups_ (raw-group engines only).
+  std::shared_ptr<FormationIndexCaches> raw_index_caches_;
   ScanStats stats_;
   mutable std::mutex stats_mu_;
 };

@@ -35,7 +35,7 @@
 namespace solap {
 
 Status SOlapEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
-                               TraceContext* trace) {
+                               TraceContext* trace, uint64_t* epoch_out) {
   if (mutable_table_ == nullptr) {
     return Status::InvalidArgument(
         "IngestRows requires the mutable-table constructor");
@@ -45,6 +45,7 @@ Status SOlapEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
   EpochGate::WriteLock wl(gate_);
   if (rows.empty()) {
     wl.Abandon();
+    if (epoch_out != nullptr) *epoch_out = wl.committed_epoch() - 2;
     return Status::OK();
   }
   Status appended = mutable_table_->Append(rows);
@@ -59,6 +60,7 @@ Status SOlapEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
   CatchUpFormations(&local);
   span.Count("events", rows.size());
   span.Count("epoch", wl.committed_epoch());
+  if (epoch_out != nullptr) *epoch_out = wl.committed_epoch();
   MergeStats(local);
   return Status::OK();
 }
@@ -101,7 +103,7 @@ Status SOlapEngine::AppendRawSequences(
 void SOlapEngine::CatchUpFormations(ScanStats* stats) {
   SequenceQueryEngine sqe(hierarchies_);
   FormationDeltas deltas;
-  // The snapshot keeps every set alive until the deltas are pruned below.
+  // The snapshot keeps every set alive until MaintainCaches is done.
   const auto entries = sequence_cache_.Entries();
   for (const auto& [spec, set] : entries) {
     // Erasing a base earlier in this walk evicted its derived entries.
@@ -117,12 +119,9 @@ void SOlapEngine::CatchUpFormations(ScanStats* stats) {
       sequence_cache_.Refresh(spec, *set);
     }
   }
-  // Sets that left the cache in the walk (invalidated, refused, or derived
-  // from an erased base) keep no deltas; the release hook dropped their
-  // index caches.
-  std::erase_if(deltas, [&](const auto& d) {
-    return !sequence_cache_.Holds(*d.first);
-  });
+  // A set that left the cache in the walk (refused, or derived from an
+  // erased base) took its index caches along, and the repository finds
+  // formations by spec, so its deltas reach nothing.
   MaintainCaches(deltas, stats);
 }
 
@@ -130,6 +129,7 @@ void SOlapEngine::MaintainCaches(const FormationDeltas& deltas,
                                  ScanStats* stats) {
   for (const auto& [set_ptr, group_deltas] : deltas) {
     SequenceGroupSet& set = *set_ptr;
+    std::shared_ptr<FormationIndexCaches> caches = IndexCachesOf(set);
     for (const GroupDelta& d : group_deltas) {
       SequenceGroup& group = set.groups()[d.group_idx];
       group.InvalidateViews();  // views cover the old extent only
@@ -137,8 +137,8 @@ void SOlapEngine::MaintainCaches(const FormationDeltas& deltas,
       // filtered indices cannot be extended safely and are dropped. A
       // failed extension or budget reject drops the rest of the group's
       // cache — the next query rebuilds it; the append itself stands.
-      if (FindIndexCache(set, d.group_idx) == nullptr) continue;
-      std::shared_ptr<GroupIndexCache> cache = CacheFor(set, d.group_idx);
+      std::shared_ptr<GroupIndexCache> cache = caches->Find(d.group_idx);
+      if (cache == nullptr) continue;
       std::vector<std::shared_ptr<InvertedIndex>> keep;
       for (const auto& entry : cache->entries()) {
         if (entry->complete()) keep.push_back(entry);
@@ -159,10 +159,7 @@ void SOlapEngine::MaintainCaches(const FormationDeltas& deltas,
 
 void SOlapEngine::PatchOrInvalidateCuboids(const FormationDeltas& deltas,
                                            ScanStats* stats) {
-  // Called under the exclusive gate (epoch odd); stamp patched entries with
-  // the epoch readers will observe after this writer commits.
-  const uint64_t commit_epoch = gate_.epoch() + 1;
-  for (const CuboidRepository::Snapshot& e : repository_.Entries()) {
+  for (const CuboidRepository::Entry& e : repository_.Entries()) {
     auto invalidate = [&] {
       repository_.Erase(e.key);
       ++stats->stale_cuboid_invalidations;
@@ -180,7 +177,6 @@ void SOlapEngine::PatchOrInvalidateCuboids(const FormationDeltas& deltas,
     if (dit == deltas.end() || dit->second.empty()) {
       // The batch contributed nothing to this formation (rows filtered out
       // by WHERE/retention) — the cached cuboid is still exact.
-      repository_.Replace(e.key, e.cuboid, commit_epoch);
       continue;
     }
     auto patch = [&]() -> Status {
@@ -207,19 +203,12 @@ void SOlapEngine::PatchOrInvalidateCuboids(const FormationDeltas& deltas,
       }
       SOLAP_RETURN_NOT_OK(
           LabelCells(copy.get(), *set, hierarchies_, e.spec.dims));
-      repository_.Replace(e.key, copy, commit_epoch);
+      repository_.Replace(e.key, copy);
       ++stats->cuboid_patches;
       return Status::OK();
     };
     if (!patch().ok()) invalidate();
   }
-}
-
-void SOlapEngine::DropIndexCachesFor(uint64_t set_id) {
-  // The last holder's release refunds the governor charge.
-  std::lock_guard<std::mutex> lock(index_caches_mu_);
-  index_caches_.erase(index_caches_.lower_bound({set_id, 0}),
-                      index_caches_.lower_bound({set_id + 1, 0}));
 }
 
 Status SOlapEngine::EvictBefore(const std::string& order_attr,
@@ -245,7 +234,7 @@ Status SOlapEngine::EvictBefore(const std::string& order_attr,
   // Formed groups embed evicted rows; rebuild everything lazily under the
   // new window (fresh formations apply retention_, so rebuilds agree with
   // any future incremental extension). Cache Clear refunds the governor,
-  // and its release hook drops the index caches.
+  // index caches included.
   sequence_cache_.Clear();
   repository_.Clear();
   return Status::OK();

@@ -24,6 +24,7 @@ int LevelIndexOf(const HierarchyRegistry* reg, const LevelRef& ref) {
 }  // namespace
 
 Status SOlapEngine::RunInvertedIndex(QueryContext& ctx) {
+  std::shared_ptr<FormationIndexCaches> caches = IndexCachesOf(*ctx.groups);
   for (size_t gi : ctx.selected_groups) {
     SequenceGroup& group = ctx.groups->groups()[gi];
     TraceSpan group_span(ctx.trace, "ii.group");
@@ -38,7 +39,7 @@ Status SOlapEngine::RunInvertedIndex(QueryContext& ctx) {
         BoundPattern bp_index,
         BoundPattern::Bind(&ctx.tmpl, &group, *ctx.groups, hierarchies_,
                            nullptr, {}));
-    std::shared_ptr<GroupIndexCache> cache = CacheFor(*ctx.groups, gi);
+    std::shared_ptr<GroupIndexCache> cache = caches->For(gi);
     SOLAP_ASSIGN_OR_RETURN(
         std::shared_ptr<InvertedIndex> index,
         ObtainIndex(*cache, group, *ctx.groups, ctx.tmpl, bp_index, ctx.stats,

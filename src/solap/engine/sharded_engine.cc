@@ -435,8 +435,10 @@ Status ShardedEngine::MaterializeIndex(const SequenceSpec& formation,
 }
 
 Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
-                                 TraceContext* trace) {
-  if (shards_.size() == 1) return shards_[0]->IngestRows(rows, trace);
+                                 TraceContext* trace, uint64_t* epoch_out) {
+  if (shards_.size() == 1) {
+    return shards_[0]->IngestRows(rows, trace, epoch_out);
+  }
   if (mutable_table_ == nullptr) {
     return Status::InvalidArgument(
         "IngestRows requires the mutable-table constructor");
@@ -448,6 +450,7 @@ Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
   EpochGate::WriteLock wl(gate_);
   if (rows.empty()) {
     wl.Abandon();
+    if (epoch_out != nullptr) *epoch_out = wl.committed_epoch() - 2;
     return Status::OK();
   }
   // Commit to the facade (source-of-truth) table: validate-first Append
@@ -482,6 +485,7 @@ Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
   }
   span.Count("events", rows.size());
   span.Count("epoch", wl.committed_epoch());
+  if (epoch_out != nullptr) *epoch_out = wl.committed_epoch();
   return Status::OK();
 }
 

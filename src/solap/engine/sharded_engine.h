@@ -103,15 +103,17 @@ class ShardedEngine {
   /// (all-or-nothing), copies each new row into the slice of the shard
   /// that owns its sequence (ShardOfCode over the shard-by column's base
   /// code), then catches up each shard whose slice grew, and the
-  /// monolithic fallback if built (SOlapEngine::NotifyTableAppend): delta
-  /// segments, patched or invalidated cached partials, exactly as a
+  /// monolithic fallback if built (SOlapEngine::NotifyTableAppend): indices
+  /// appended in place, cached partials patched or invalidated, exactly as a
   /// monolithic engine would. Fails only before the commit; once the
-  /// facade table holds the batch the call returns OK. With remote scatter
-  /// enabled, each shard server whose slice grew also gets its rows
-  /// (POST /shard/append); a failed replication marks that shard
-  /// unhealthy. Requires the mutable-table constructor.
+  /// facade table holds the batch the call returns OK, and `epoch_out`
+  /// (if set) gets its commit epoch. With remote scatter enabled, each
+  /// shard server whose slice grew also gets its rows (POST /shard/append);
+  /// a failed replication marks that shard unhealthy. Requires the
+  /// mutable-table constructor.
   Status IngestRows(const std::vector<std::vector<Value>>& rows,
-                    TraceContext* trace = nullptr);
+                    TraceContext* trace = nullptr,
+                    uint64_t* epoch_out = nullptr);
 
   /// Time-window retention, fanned out to every shard (+ fallback). See
   /// SOlapEngine::EvictBefore.

@@ -86,4 +86,27 @@ GroupIndexCache::~GroupIndexCache() {
   if (governor_ != nullptr) governor_->Release(charged_bytes_);
 }
 
+std::shared_ptr<GroupIndexCache> FormationIndexCaches::For(size_t group_idx) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (group_idx >= groups_.size()) groups_.resize(group_idx + 1);
+  std::shared_ptr<GroupIndexCache>& cache = groups_[group_idx];
+  if (cache == nullptr) cache = std::make_shared<GroupIndexCache>(governor_);
+  return cache;
+}
+
+std::shared_ptr<GroupIndexCache> FormationIndexCaches::Find(
+    size_t group_idx) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return group_idx < groups_.size() ? groups_[group_idx] : nullptr;
+}
+
+size_t FormationIndexCaches::TotalBytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t bytes = 0;
+  for (const auto& cache : groups_) {
+    if (cache != nullptr) bytes += cache->TotalBytes();
+  }
+  return bytes;
+}
+
 }  // namespace solap

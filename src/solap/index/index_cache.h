@@ -12,6 +12,7 @@
 #define SOLAP_INDEX_INDEX_CACHE_H_
 
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -74,6 +75,29 @@ class GroupIndexCache {
   std::vector<size_t> entry_bytes_;
   // shape canonical + "|" + constraint sig -> entry position.
   std::unordered_map<std::string, size_t> by_key_;
+};
+
+/// \brief The index caches of one formation: one GroupIndexCache per group
+/// ordinal, created on first use. Owned with the formation (by its
+/// SequenceCache entry, or a raw-group engine for its raw set), so the
+/// caches and their governor charges leave with it.
+class FormationIndexCaches {
+ public:
+  /// `governor` (may be null) is handed to every group cache created.
+  explicit FormationIndexCaches(MemoryGovernor* governor = nullptr)
+      : governor_(governor) {}
+
+  /// The cache of group `group_idx`, created on first use.
+  std::shared_ptr<GroupIndexCache> For(size_t group_idx);
+  /// The cache of group `group_idx`, or nullptr if none was created yet.
+  std::shared_ptr<GroupIndexCache> Find(size_t group_idx) const;
+  /// Bytes of the indices cached across all groups.
+  size_t TotalBytes() const;
+
+ private:
+  mutable std::mutex mu_;
+  MemoryGovernor* const governor_;
+  std::vector<std::shared_ptr<GroupIndexCache>> groups_;  // by group ordinal
 };
 
 }  // namespace solap

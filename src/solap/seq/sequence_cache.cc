@@ -16,7 +16,14 @@ std::shared_ptr<SequenceGroupSet> SequenceCache::Lookup(
 
 bool SequenceCache::Holds(const SequenceGroupSet& set) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ids_.count(set.id()) != 0;
+  return by_set_.count(&set) != 0;
+}
+
+std::shared_ptr<FormationIndexCaches> SequenceCache::IndexCachesOf(
+    const SequenceGroupSet& set) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = by_set_.find(&set);
+  return it == by_set_.end() ? nullptr : it->second->index_caches;
 }
 
 std::shared_ptr<SequenceGroupSet> SequenceCache::InsertIfAbsent(
@@ -38,16 +45,17 @@ std::shared_ptr<SequenceGroupSet> SequenceCache::InsertIfAbsent(
         !ChargeLocked(bytes, "", &released)) {
       return set;
     }
-    ids_.insert(set->id());
     Entry& e = map_[key];
-    e = Entry{spec, std::move(set), bytes, base_key, {}};
+    e = Entry{spec, std::move(set),
+              std::make_shared<FormationIndexCaches>(governor_), bytes,
+              base_key, {}};
+    by_set_.emplace(e.set.get(), &e);
     if (!base_key.empty()) {
       e.lru = lru_.insert(lru_.begin(), key);
       derived_bytes_[base_key] += bytes;
       EnforceBoundLocked(base_key, &released);
     }
   }
-  RunReleaseHook(released);
   return out;
 }
 
@@ -79,23 +87,20 @@ bool SequenceCache::Refresh(const SequenceSpec& spec,
     // A base that grew allows more derived bytes; one that left allows none.
     EnforceBoundLocked(base_key.empty() ? key : base_key, &released);
   }
-  RunReleaseHook(released);
   return kept;
 }
 
 void SequenceCache::Clear() {
-  Released released;
+  std::unordered_map<std::string, Entry> released;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [key, entry] : map_) released.push_back(std::move(entry.set));
     if (governor_ != nullptr) governor_->Release(charged_bytes_);
     charged_bytes_ = 0;
-    map_.clear();
-    ids_.clear();
+    released.swap(map_);
+    by_set_.clear();
     lru_.clear();
     derived_bytes_.clear();
   }
-  RunReleaseHook(released);
 }
 
 void SequenceCache::Erase(const SequenceSpec& spec) {
@@ -107,7 +112,6 @@ void SequenceCache::Erase(const SequenceSpec& spec) {
     RemoveLocked(key, &released);
     EnforceBoundLocked(key, &released);
   }
-  RunReleaseHook(released);
 }
 
 std::vector<std::pair<SequenceSpec, std::shared_ptr<SequenceGroupSet>>>
@@ -160,8 +164,8 @@ void SequenceCache::RemoveLocked(std::string key, Released* released) {
     derived_bytes_[e.base_key] -= e.bytes;
     lru_.erase(e.lru);
   }
-  ids_.erase(e.set->id());
-  released->push_back(std::move(e.set));
+  by_set_.erase(e.set.get());
+  released->push_back(std::move(e));
   map_.erase(it);
 }
 
@@ -179,11 +183,6 @@ void SequenceCache::EnforceBoundLocked(const std::string& base_key,
     it = newer;
   }
   if (bytes->second == 0) derived_bytes_.erase(bytes);
-}
-
-void SequenceCache::RunReleaseHook(const Released& released) const {
-  if (!release_hook_) return;
-  for (const auto& set : released) release_hook_(*set);
 }
 
 }  // namespace solap

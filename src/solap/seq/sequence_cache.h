@@ -2,8 +2,9 @@
 // engine so iterative queries sharing the same formation clauses skip
 // steps 1-4 entirely. Thread-safe: concurrent queries may look up and
 // populate the cache; InsertIfAbsent keeps one canonical set per spec so
-// racing builders converge on the same groups (and the index caches keyed
-// by the set's id stay shared).
+// racing builders converge on the same groups. Each entry owns its
+// formation's index caches, which are valid only for that formation and so
+// leave the cache with it.
 //
 // Formations derived from a cached base formation (a time window sliced
 // out of it; DESIGN.md "Derived formations") are ordinary entries under
@@ -14,17 +15,16 @@
 #ifndef SOLAP_SEQ_SEQUENCE_CACHE_H_
 #define SOLAP_SEQ_SEQUENCE_CACHE_H_
 
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "solap/common/mem_budget.h"
+#include "solap/index/index_cache.h"
 #include "solap/seq/sequence_group.h"
 #include "solap/seq/sequence_query_engine.h"
 
@@ -33,17 +33,18 @@ namespace solap {
 /// \brief Keyed store of SequenceGroupSets by canonical SequenceSpec text.
 class SequenceCache {
  public:
-  /// Called with every set that leaves the cache (erased, evicted, cleared
-  /// or dropped by Refresh), after the cache lock is released, so the
-  /// owner can drop what it keeps per set. Not called on destruction.
-  using ReleaseHook = std::function<void(const SequenceGroupSet&)>;
-
   /// Cached set for `spec`, or nullptr. Marks a derived entry as used.
   std::shared_ptr<SequenceGroupSet> Lookup(const SequenceSpec& spec) const;
 
   /// True while `set` is cached. A set that left the cache never enters it
-  /// again.
+  /// again. Sets are told apart by address, so the caller must keep `set`
+  /// alive across the call.
   bool Holds(const SequenceGroupSet& set) const;
+
+  /// The index caches owned by the entry of `set` while `set` is cached,
+  /// else nullptr. Like Holds, the caller keeps `set` alive.
+  std::shared_ptr<FormationIndexCaches> IndexCachesOf(
+      const SequenceGroupSet& set) const;
 
   /// Stores `set` under `spec` unless another thread won the race, and
   /// returns the canonical entry either way. Queries use this so every
@@ -82,11 +83,10 @@ class SequenceCache {
   /// Attaches the engine-wide byte-budget accountant: caching a set charges
   /// its ApproxBytes(); a rejected charge evicts derived entries and
   /// retries, and hands the set back uncached when none are left (the
-  /// query proceeds, the next identical formation rebuilds). Set once at
-  /// engine construction, before any use.
+  /// query proceeds, the next identical formation rebuilds). The entries'
+  /// index caches charge it too. Set once at engine construction, before
+  /// any use.
   void set_governor(MemoryGovernor* governor) { governor_ = governor; }
-  /// Set once at engine construction, before any use.
-  void set_release_hook(ReleaseHook hook) { release_hook_ = std::move(hook); }
 
   ~SequenceCache();
 
@@ -94,11 +94,13 @@ class SequenceCache {
   struct Entry {
     SequenceSpec spec;  // kept so ingestion can re-bind formation clauses
     std::shared_ptr<SequenceGroupSet> set;
+    std::shared_ptr<FormationIndexCaches> index_caches;
     size_t bytes = 0;       // ApproxBytes when (re)charged
     std::string base_key;   // derived entries only
     std::list<std::string>::iterator lru;  // derived entries only
   };
-  using Released = std::vector<std::shared_ptr<SequenceGroupSet>>;
+  // Entries that left the cache, destroyed once mu_ is released.
+  using Released = std::vector<Entry>;
 
   // Helpers below run with mu_ held and collect what leaves in `released`.
   /// Charges `bytes`, evicting derived entries other than `keep` LRU-first
@@ -108,14 +110,13 @@ class SequenceCache {
   /// Evicts derived entries of `base_key` LRU-first until they hold no
   /// more bytes than the base (zero when it is not cached).
   void EnforceBoundLocked(const std::string& base_key, Released* released);
-  void RunReleaseHook(const Released& released) const;
 
   mutable std::mutex mu_;
   MemoryGovernor* governor_ = nullptr;
-  ReleaseHook release_hook_;
   size_t charged_bytes_ = 0;  // total charged to governor_
   std::unordered_map<std::string, Entry> map_;
-  std::unordered_set<uint64_t> ids_;  // SequenceGroupSet::id() of each entry
+  // The entry of each cached set (map_ nodes do not move).
+  std::unordered_map<const SequenceGroupSet*, const Entry*> by_set_;
   // Derived keys, most recently used first.
   mutable std::list<std::string> lru_;
   // Bytes of the cached derived entries, by base key.

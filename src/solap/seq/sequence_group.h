@@ -8,7 +8,6 @@
 #ifndef SOLAP_SEQ_SEQUENCE_GROUP_H_
 #define SOLAP_SEQ_SEQUENCE_GROUP_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -123,11 +122,6 @@ class SequenceGroupSet {
   SequenceGroupSet(const SequenceGroupSet&) = delete;
   SequenceGroupSet& operator=(const SequenceGroupSet&) = delete;
 
-  /// Process-wide serial of this set, never reused: the engine keys its
-  /// per-group index caches by it, so a set allocated where a freed one
-  /// lived can never pick up the freed set's indices.
-  uint64_t id() const { return id_; }
-
   bool is_raw() const { return table_ == nullptr; }
   const EventTable* table() const { return table_; }
   const std::string& raw_attr() const { return raw_attr_; }
@@ -177,12 +171,6 @@ class SequenceGroupSet {
   std::vector<SequenceGroup> groups_;
   std::unordered_map<CellKey, size_t, CodeVecHash> group_index_;
   size_t formed_rows_ = 0;
-  const uint64_t id_ = NextId();
-
-  static uint64_t NextId() {
-    static std::atomic<uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-  }
 };
 
 }  // namespace solap

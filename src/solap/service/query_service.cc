@@ -322,10 +322,9 @@ QueryService::IngestResult QueryService::Ingest(
     out.status = Status::Unavailable("query service is draining");
     return out;
   }
-  out.status = engine_->IngestRows(rows, trace);
+  out.status = engine_->IngestRows(rows, trace, &out.epoch);
   if (out.status.ok()) {
     out.events = rows.size();
-    out.epoch = engine_->epoch();
     ingest_events_->Inc(rows.size());
   }
   return out;

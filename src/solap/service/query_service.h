@@ -118,7 +118,7 @@ class QueryService {
   struct IngestResult {
     Status status = Status::OK();
     size_t events = 0;   ///< rows appended (0 unless status.ok())
-    uint64_t epoch = 0;  ///< engine epoch after the commit
+    uint64_t epoch = 0;  ///< the epoch this batch committed
   };
 
   /// Appends one batch of event rows through the engine's epoch-gated

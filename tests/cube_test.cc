@@ -127,11 +127,11 @@ TEST(CuboidRepositoryTest, LookupInsertAndLru) {
   CuboidRepository repo(1 << 20);
   EXPECT_EQ(repo.Lookup("a"), nullptr);
   auto a = MakeCuboidPtr(0);
-  repo.Insert("a", a, CuboidSpec{}, 0);
+  repo.Insert("a", a, CuboidSpec{});
   EXPECT_EQ(repo.Lookup("a"), a);
   EXPECT_EQ(repo.size(), 1u);
   EXPECT_GT(repo.bytes_used(), 0u);
-  repo.Insert("a", MakeCuboidPtr(1), CuboidSpec{}, 0);  // replace
+  repo.Insert("a", MakeCuboidPtr(1), CuboidSpec{});  // replace
   EXPECT_EQ(repo.size(), 1u);
   EXPECT_NE(repo.Lookup("a"), a);
   repo.Clear();
@@ -143,13 +143,13 @@ TEST(CuboidRepositoryTest, EvictsLeastRecentlyUsed) {
   auto one = MakeCuboidPtr(0);
   size_t unit = one->ByteSize();
   CuboidRepository repo(3 * unit + unit / 2);  // fits three small entries
-  repo.Insert("a", MakeCuboidPtr(0), CuboidSpec{}, 0);
-  repo.Insert("b", MakeCuboidPtr(0), CuboidSpec{}, 0);
-  repo.Insert("c", MakeCuboidPtr(0), CuboidSpec{}, 0);
+  repo.Insert("a", MakeCuboidPtr(0), CuboidSpec{});
+  repo.Insert("b", MakeCuboidPtr(0), CuboidSpec{});
+  repo.Insert("c", MakeCuboidPtr(0), CuboidSpec{});
   EXPECT_EQ(repo.size(), 3u);
   // Touch "a" so "b" becomes the LRU victim.
   EXPECT_NE(repo.Lookup("a"), nullptr);
-  repo.Insert("d", MakeCuboidPtr(0), CuboidSpec{}, 0);
+  repo.Insert("d", MakeCuboidPtr(0), CuboidSpec{});
   EXPECT_EQ(repo.Lookup("b"), nullptr);
   EXPECT_NE(repo.Lookup("a"), nullptr);
   EXPECT_NE(repo.Lookup("c"), nullptr);
@@ -158,7 +158,7 @@ TEST(CuboidRepositoryTest, EvictsLeastRecentlyUsed) {
 
 TEST(CuboidRepositoryTest, ZeroCapacityDisablesCaching) {
   CuboidRepository repo(0);
-  repo.Insert("a", MakeCuboidPtr(0), CuboidSpec{}, 0);
+  repo.Insert("a", MakeCuboidPtr(0), CuboidSpec{});
   EXPECT_EQ(repo.Lookup("a"), nullptr);
   EXPECT_EQ(repo.size(), 0u);
 }

@@ -5,6 +5,7 @@
 //  - cell restrictions, aggregates, caches and incremental update.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -495,7 +496,10 @@ TEST_F(WindowedEngineTest, EvictedWindowsRequeryBitIdentically) {
 }
 
 // Several clients query distinct windows of one base at once while the
-// bound and a tight budget keep evicting derived sets under them.
+// bound and a tight budget keep evicting derived sets under them, and a
+// writer ingests new cards dated after every window: each batch extends
+// the cached formations and appends to their indices without changing any
+// window's answer.
 TEST_F(WindowedEngineTest, ConcurrentWindowsShareOneBaseWhileEvicting) {
   constexpr int kThreads = 4;
   constexpr int kWindows = 10;
@@ -515,8 +519,27 @@ TEST_F(WindowedEngineTest, ConcurrentWindowsShareOneBaseWhileEvicting) {
     }
   }
 
-  SOlapEngine engine(table(), data_.hierarchies.get(),
+  SOlapEngine engine(data_.table.get(), data_.hierarchies.get(),
                      NoRepository(3 * base_bytes));
+  std::atomic<bool> clients_done{false};
+  std::thread writer([&] {
+    const int64_t after_windows = MakeTimestamp(2007, 10, 7);
+    for (int b = 0; b < 300 && !clients_done.load(); ++b) {
+      const std::string card = std::to_string(90000 + b);
+      const int64_t t = after_windows + b * 60;
+      Status s = engine.IngestRows(
+          {{Value::Timestamp(t), Value::String(card), Value::String("Pentagon"),
+            Value::String("in"), Value::Double(0.0)},
+           {Value::Timestamp(t + 30), Value::String(card),
+            Value::String("Wheaton"), Value::String("out"),
+            Value::Double(-2.0)}});
+      if (!s.ok()) {
+        ADD_FAILURE() << s.ToString();
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
@@ -538,6 +561,8 @@ TEST_F(WindowedEngineTest, ConcurrentWindowsShareOneBaseWhileEvicting) {
     });
   }
   for (std::thread& c : clients) c.join();
+  clients_done = true;
+  writer.join();
   EXPECT_GT(engine.StatsSnapshot().formations_derived,
             static_cast<uint64_t>(kThreads * kWindows));
 }

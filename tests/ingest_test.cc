@@ -1,5 +1,5 @@
 // Streaming ingestion (docs/INGESTION.md): IngestRows edge cases, epoch
-// semantics, retention interaction, delta merges, cuboid patching, and the
+// semantics, retention interaction, index appends, cuboid patching, and the
 // service/HTTP ingest surface. The recurring oracle: after any sequence of
 // appends, a live engine's answer must be BIT-IDENTICAL to a fresh engine
 // rebuilt over the same rows — compared through EncodeShardPartial, whose
@@ -224,6 +224,58 @@ TEST_F(IngestTest, CachedIndexGrowsInPlace) {
   EXPECT_GT(live_stats.index_cache_hits, 0u);
   EXPECT_EQ(live_stats.lists_built, 0u);
   EXPECT_EQ(Canonical(**live), FreshAnswer(ExecStrategy::kInvertedIndex));
+}
+
+// Every batch reaches the cached indices, on a base formation and on a
+// time window derived from it. With the repository off, the II query after
+// a new-key batch answers from the indices the batch appended to (no list
+// built, cache hits) and equals a rebuild; an existing-key batch
+// invalidates the formation, and the query after it rebuilds.
+TEST_F(IngestTest, IiQueriesReadTheIndicesEachBatchAppendedTo) {
+  // The window drops card 688's events, so the derived set stays smaller
+  // than its base and the cache keeps it.
+  CuboidSpec windowed = SimpleSpec();
+  windowed.seq.where = Expr::And(
+      Expr::Ge(Expr::Col("time"), Expr::Lit(Value::Timestamp(
+                                      MakeTimestamp(2007, 12, 25, 8, 6, 0)))),
+      Expr::Lt(Expr::Col("time"), Expr::Lit(Value::Timestamp(
+                                      MakeTimestamp(2007, 12, 27, 0, 0, 0)))));
+  EngineOptions opts;
+  opts.repository_capacity_bytes = 0;  // every query reaches the index
+  for (const CuboidSpec& spec : {SimpleSpec(), windowed}) {
+    const std::string which = spec.seq.where == nullptr ? "base" : "window";
+    auto table = Fig8Table();
+    SOlapEngine engine(table.get(), reg_.get(), opts);
+    ASSERT_TRUE(engine.Execute(spec, ExecStrategy::kInvertedIndex).ok());
+    for (int batch = 0; batch < 6; ++batch) {
+      const bool new_key = batch % 2 == 0;
+      const std::string card =
+          new_key ? std::to_string(9100 + batch) : "23456";
+      const std::string what = which + " batch " + std::to_string(batch);
+      const int64_t t = MakeTimestamp(2007, 12, 26, 8 + batch, 0, 0);
+      ASSERT_TRUE(engine
+                      .IngestRows({Row(t, card, "Pentagon", "in", 0.0),
+                                   Row(t + 60, card, "Wheaton", "out", -2.0)})
+                      .ok());
+
+      ScanStats stats;
+      ExecControl control;
+      control.stats_out = &stats;
+      auto live = engine.Execute(spec, ExecStrategy::kInvertedIndex, control);
+      ASSERT_TRUE(live.ok()) << what << ": " << live.status().ToString();
+      auto fresh_table = CopyPrefix(*table, table->num_rows());
+      SOlapEngine fresh(fresh_table.get(), reg_.get(), opts);
+      auto want = fresh.Execute(spec, ExecStrategy::kInvertedIndex);
+      ASSERT_TRUE(want.ok()) << what;
+      EXPECT_EQ(Canonical(**live), Canonical(**want)) << what;
+      if (new_key) {
+        EXPECT_EQ(stats.lists_built, 0u) << what;
+        EXPECT_GT(stats.index_cache_hits, 0u) << what;
+      } else {
+        EXPECT_GT(stats.lists_built, 0u) << what;
+      }
+    }
+  }
 }
 
 TEST_F(IngestTest, CachedCuboidIsPatchedForNewClusterKeys) {

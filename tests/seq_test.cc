@@ -9,6 +9,7 @@
 #include "paper_fixtures.h"
 #include "solap/common/mem_budget.h"
 #include "solap/gen/transit.h"
+#include "solap/index/build_index.h"
 #include "solap/seq/sequence_cache.h"
 #include "solap/seq/sequence_query_engine.h"
 
@@ -550,10 +551,9 @@ class DerivedCacheTest : public ::testing::Test {
 };
 
 TEST_F(DerivedCacheTest, DerivedEntriesStayWithinTheirBaseBytesLruFirst) {
+  MemoryGovernor governor(0);  // unlimited, still counted
   SequenceCache cache;
-  std::vector<uint64_t> released;
-  cache.set_release_hook(
-      [&](const SequenceGroupSet& set) { released.push_back(set.id()); });
+  cache.set_governor(&governor);
   const SequenceSpec base_spec = BaseSpec();
   auto base = cache.InsertIfAbsent(base_spec, BaseSet());
   const size_t base_bytes = base->ApproxBytes();
@@ -567,27 +567,76 @@ TEST_F(DerivedCacheTest, DerivedEntriesStayWithinTheirBaseBytesLruFirst) {
                        days[2]->ApproxBytes();
   ASSERT_LE(three, base_bytes);
   EXPECT_EQ(cache.DerivedBytes(base_spec), three);
-  EXPECT_TRUE(released.empty());
+  EXPECT_EQ(cache.size(), 4u);
+  for (const auto& day : days) EXPECT_TRUE(cache.Holds(*day));
+  EXPECT_EQ(governor.used(), base_bytes + three);
   // Day 1 becomes the least recently used; day 3 then overflows the bound
   // (the four days together hold the base's rows plus per-set overhead).
   ASSERT_EQ(cache.Lookup(Day(0)), days[0]);
   auto day3 =
       cache.InsertIfAbsent(Day(3), Derived(Day(3), *base), &base_spec);
   ASSERT_GT(three + day3->ApproxBytes(), base_bytes);
-  EXPECT_EQ(released, std::vector<uint64_t>{days[1]->id()});
+  EXPECT_EQ(cache.size(), 4u);  // day 1 alone left
   EXPECT_EQ(cache.Lookup(Day(1)), nullptr);
   EXPECT_FALSE(cache.Holds(*days[1]));
+  EXPECT_EQ(cache.IndexCachesOf(*days[1]), nullptr);
   EXPECT_TRUE(cache.Holds(*days[0]));
+  EXPECT_TRUE(cache.Holds(*days[2]));
   EXPECT_TRUE(cache.Holds(*day3));
   EXPECT_LE(cache.DerivedBytes(base_spec), base_bytes);
   EXPECT_TRUE(cache.Holds(*base));  // bases are never evicted
+  EXPECT_EQ(governor.used(), base_bytes + three - days[1]->ApproxBytes() +
+                                 day3->ApproxBytes());
 
   // Dropping the base takes its derived entries with it.
-  released.clear();
   cache.Erase(base_spec);
-  EXPECT_EQ(released.size(), 4u);
+  for (const auto& set : {base, days[0], days[2], day3}) {
+    EXPECT_FALSE(cache.Holds(*set));
+  }
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.DerivedBytes(base_spec), 0u);
+  EXPECT_EQ(governor.used(), 0u);
+}
+
+// Each entry owns its formation's index caches: they charge the cache's
+// governor, every lookup shares them while the set is cached, and they
+// leave with the entry, refunding their charge once the last holder (a
+// query still running on them) lets go.
+TEST_F(DerivedCacheTest, IndexCachesLeaveWithTheirEntry) {
+  MemoryGovernor governor(0);  // unlimited, still counted
+  SequenceCache cache;
+  cache.set_governor(&governor);
+  const SequenceSpec base_spec = BaseSpec();
+  auto base = cache.InsertIfAbsent(base_spec, BaseSet());
+  auto day = cache.InsertIfAbsent(Day(0), Derived(Day(0), *base), &base_spec);
+  ASSERT_TRUE(cache.Holds(*day));
+  std::shared_ptr<FormationIndexCaches> caches = cache.IndexCachesOf(*day);
+  ASSERT_NE(caches, nullptr);
+  EXPECT_EQ(cache.IndexCachesOf(*day), caches);
+  EXPECT_NE(cache.IndexCachesOf(*base), caches);
+  EXPECT_EQ(caches->Find(0), nullptr);
+
+  ScanStats stats;
+  auto index = BuildIndex(
+      &day->groups()[0], *day, data_.hierarchies.get(),
+      IndexShape{PatternKind::kSubstring, {{"location", "station"}}}, &stats);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const size_t index_bytes = (*index)->ByteSize();
+  ASSERT_GT(index_bytes, 0u);
+  ASSERT_TRUE(caches->For(0)->Insert(*index).ok());
+  EXPECT_EQ(caches->Find(0), caches->For(0));
+  EXPECT_EQ(caches->TotalBytes(), index_bytes);
+  const size_t base_bytes = base->ApproxBytes();
+  EXPECT_EQ(governor.used(), base_bytes + day->ApproxBytes() + index_bytes);
+
+  cache.Erase(Day(0));
+  EXPECT_FALSE(cache.Holds(*day));
+  EXPECT_EQ(cache.IndexCachesOf(*day), nullptr);
+  EXPECT_EQ(governor.used(), base_bytes + index_bytes);  // still held here
+  caches.reset();
+  EXPECT_EQ(governor.used(), base_bytes);
+  cache.Clear();
+  EXPECT_EQ(governor.used(), 0u);
 }
 
 TEST_F(DerivedCacheTest, DerivedSetWithoutCachedBaseIsHandedBackUncached) {
@@ -610,13 +659,11 @@ TEST_F(DerivedCacheTest, GovernorRejectEvictsDerivedEntriesBeforeGivingUp) {
                           d1->ApproxBytes() - 1);
   SequenceCache cache;
   cache.set_governor(&governor);
-  std::vector<uint64_t> released;
-  cache.set_release_hook(
-      [&](const SequenceGroupSet& set) { released.push_back(set.id()); });
   cache.InsertIfAbsent(base_spec, base);
   cache.InsertIfAbsent(Day(0), d0, &base_spec);
   cache.InsertIfAbsent(Day(1), d1, &base_spec);
-  EXPECT_EQ(released, std::vector<uint64_t>{d0->id()});
+  EXPECT_FALSE(cache.Holds(*d0));
+  EXPECT_EQ(cache.size(), 2u);
   EXPECT_TRUE(cache.Holds(*d1));
   EXPECT_EQ(governor.used(), base->ApproxBytes() + d1->ApproxBytes());
 

@@ -5,9 +5,13 @@
 // ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "paper_fixtures.h"
 #include "solap/engine/operations.h"
 #include "solap/gen/synthetic.h"
 #include "solap/service/query_service.h"
@@ -178,6 +182,46 @@ TEST_F(ServiceStressTest, SingleFlightDedupesConcurrentDuplicates) {
   ScanStats totals = engine.StatsSnapshot();
   // One real execution's worth of scanning: 5000 sequences, once.
   EXPECT_EQ(totals.sequences_scanned, 5000u);
+}
+
+// Concurrent writers through the service: every batch reports the epoch
+// it committed, never one a later writer moved the engine to, so N
+// one-row batches report exactly {2, 4, ..., 2N}.
+TEST_F(ServiceStressTest, ConcurrentIngestsReportTheirOwnCommitEpochs) {
+  constexpr int kWriters = 4;
+  constexpr int kBatches = 250;
+  auto table = testing::Fig8Table();
+  auto hierarchies = testing::Fig8Hierarchies();
+  SOlapEngine engine(table.get(), hierarchies.get());
+  QueryService service(&engine);
+  std::vector<std::vector<uint64_t>> epochs(kWriters);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int b = 0; b < kBatches; ++b) {
+        const std::string card = std::to_string(10000 * (w + 1) + b);
+        auto result = service.Ingest(
+            {{Value::Timestamp(MakeTimestamp(2007, 12, 26, 8, 0, 0) + b),
+              Value::String(card), Value::String("Pentagon"),
+              Value::String("in"), Value::Double(0.0)}});
+        if (!result.status.ok()) {
+          ADD_FAILURE() << result.status.ToString();
+          return;
+        }
+        epochs[w].push_back(result.epoch);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  std::vector<uint64_t> all;
+  for (const auto& e : epochs) all.insert(all.end(), e.begin(), e.end());
+  std::sort(all.begin(), all.end());
+  std::vector<uint64_t> want;
+  for (uint64_t i = 1; i <= uint64_t{kWriters} * kBatches; ++i) {
+    want.push_back(2 * i);
+  }
+  EXPECT_EQ(all, want);
+  EXPECT_EQ(engine.epoch(), 2u * kWriters * kBatches);
 }
 
 }  // namespace

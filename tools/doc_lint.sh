@@ -8,9 +8,12 @@
 #     AddTimedSpan call under src/, both ways;
 #   - EngineOptions::<field>, ServiceOptions::<field> and
 #     RemoteShardOptions::<field> mentions in README.md, DESIGN.md and
-#     docs/*.md vs the fields those structs declare.
+#     docs/*.md vs the fields those structs declare;
+#   - every backticked `Name::member` or `Name::member()` in those docs vs
+#     the words under src/.
 # Fails if the code emits a name the doc omits, the doc names one the
-# code no longer emits, or a doc names an option that does not exist.
+# code no longer emits, a doc names an option that does not exist, or a
+# doc names a member no source file mentions.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -141,6 +144,24 @@ check_options EngineOptions src/solap/engine/engine.h
 check_options ServiceOptions src/solap/service/query_service.h
 check_options RemoteShardOptions src/solap/engine/remote_shard.h
 
+# Qualified names: the member of every backticked `A::b` or `A::b()` in
+# README.md, DESIGN.md or docs/*.md must occur as a word under src/, so a
+# renamed or deleted function cannot linger in the docs.
+qualified=$( (grep -ohE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+(\(\))?`' \
+    README.md DESIGN.md docs/*.md || true) |
+  tr -d '`' | sed -E 's/\(\)$//' | sort -u)
+qualified_stale=""
+while read -r name; do
+  [[ -z "$name" ]] && continue
+  grep -rqw -- "${name##*::}" src/ || qualified_stale+="  $name"$'\n'
+done <<< "$qualified"
+if [[ -n "$qualified_stale" ]]; then
+  echo "doc-lint: qualified names in the docs whose member no file under src/ mentions:" >&2
+  printf '%s' "$qualified_stale" >&2
+  fail=1
+fi
+
 if [[ "$fail" -ne 0 ]]; then exit 1; fi
 echo "ok: $(echo "$code_names" | wc -l) metric names and $(echo "$code_spans" | wc -l) span names in sync with $DOC;" \
-  "$options_named option fields named in the docs all declared"
+  "$options_named option fields named in the docs all declared;" \
+  "$(echo "$qualified" | grep -c . || true) qualified names in the docs all found under src/"
